@@ -117,6 +117,10 @@ struct InterleavedCacheEntry {
     blocks: Arc<Vec<BatchTables>>,
 }
 
+/// A batch's per-row tables and their interleaved register blocks (see
+/// [`ExecCtx::interleaved_tables_for`]).
+pub type InterleavedTables = (Arc<Vec<ActTables>>, Arc<Vec<BatchTables>>);
+
 /// Interior state: cached tables plus the scratch free-list.
 struct CtxState {
     tables: Vec<CacheEntry>,
@@ -408,10 +412,10 @@ impl ExecCtx {
         Ok(tables)
     }
 
-    /// Returns the interleaved register blocks ([`BatchTables`]) of a
-    /// row-major `n × K` activation batch, partitioned by the plan's
-    /// `n_block`/`row_block` — the table form the multi-row mpGEMM kernel
-    /// streams.
+    /// Returns the per-row tables of a row-major `n × K` activation batch
+    /// together with their interleaved register blocks ([`BatchTables`]),
+    /// partitioned by the plan's `n_block`/`row_block` — the table form the
+    /// multi-row mpGEMM kernel streams.
     ///
     /// The per-row builds come from [`ExecCtx::batch_tables_for`] (and count
     /// in [`ExecCtx::table_stats`] exactly as before); the interleaving on
@@ -430,7 +434,7 @@ impl ExecCtx {
         plan: &WeightPlan,
         act: &[f32],
         n: usize,
-    ) -> Result<Arc<Vec<BatchTables>>, TmacError> {
+    ) -> Result<InterleavedTables, TmacError> {
         let source = self.batch_tables_for(plan, act, n)?;
         let generation = self.generation();
         let nb = plan.opts.n_block.max(1);
@@ -443,7 +447,7 @@ impl ExecCtx {
                 .find(|e| Arc::ptr_eq(&e.source, &source) && e.n_block == nb && e.row_block == rb)
             {
                 self.interleave_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&e.blocks));
+                return Ok((source, Arc::clone(&e.blocks)));
             }
         }
         // Interleave outside the lock (same rationale as the builds).
@@ -459,7 +463,7 @@ impl ExecCtx {
             generation,
             n_block: nb,
             row_block: rb,
-            source,
+            source: Arc::clone(&source),
             blocks: Arc::clone(&blocks),
         };
         if let Some(slot) = state
@@ -473,7 +477,7 @@ impl ExecCtx {
         } else if let Some(oldest) = state.interleaved.iter_mut().min_by_key(|e| e.generation) {
             *oldest = entry;
         }
-        Ok(blocks)
+        Ok((source, blocks))
     }
 
     /// `(hits, misses)` of the interleaved-block cache (separate from

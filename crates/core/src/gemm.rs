@@ -18,7 +18,7 @@
 //! path, so the split never changes a bit of the result.
 
 use crate::exec::ExecCtx;
-use crate::gemv::{build_tables, run_mtile};
+use crate::gemv::build_tables;
 use crate::kernel;
 use crate::opts::{LUT_GROUP, TILE_M};
 use crate::plan::WeightPlan;
@@ -58,43 +58,14 @@ fn panel_blocks(plan: &WeightPlan) -> usize {
     (kg_target / kg_per_block).max(1)
 }
 
-/// Which kernel serves a multi-row sweep.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SweepPath {
-    /// AVX2 register-blocked multi-row kernel.
-    #[cfg(target_arch = "x86_64")]
-    MultiAvx2,
-    /// Scalar multi-row kernel over the interleaved layout.
-    MultiScalar,
-    /// Per-row `gemv` kernel (row innermost over the tile loop).
-    PerRow,
-}
-
-/// Chooses the sweep path. The invariant that keeps batched forwards
-/// bit-identical to independent single-row forwards: whatever kernel family
-/// (AVX2 or scalar) serves the GEMV path on this host must also serve the
-/// GEMM path — the multi-row kernels replicate their single-row siblings'
-/// arithmetic exactly, but AVX2 and scalar differ in `f32` fold rounding.
-fn sweep_path(plan: &WeightPlan, use_avx2: bool) -> SweepPath {
-    if plan.opts.effective_row_block() <= 1 {
-        return SweepPath::PerRow;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        return if kernel::avx2::gemm_supported(&plan.opts) {
-            SweepPath::MultiAvx2
-        } else {
-            SweepPath::PerRow
-        };
-    }
-    let _ = use_avx2;
-    if plan.opts.table_quant {
-        // The scalar multi-row kernel covers every quantized layout
-        // (including fast aggregation and flat planes).
-        SweepPath::MultiScalar
-    } else {
-        SweepPath::PerRow
-    }
+/// Whether a register block of `rows` rows runs the plan's multi-row
+/// kernel. One-row blocks (`n = 1`, or a one-row remainder), `row_block`
+/// 1, and plans whose family has no multi-row kernel run the single-row
+/// GEMV m-tile kernel instead — bit-identical by the family invariant (see
+/// [`kernel::KernelFamily`]), and without the interleave and K-panel
+/// overhead that buys nothing for one row.
+fn multi_row(plan: &WeightPlan, rows: usize) -> bool {
+    rows > 1 && plan.opts.effective_row_block() > 1 && plan.family().gemm.is_some()
 }
 
 /// Shared-output wrapper: threads write disjoint `(n, m-tile)` blocks.
@@ -129,46 +100,30 @@ fn check_shapes(
     Ok(())
 }
 
-/// Whether the AVX2 kernel serves `plan` on this host.
-fn avx2_for(plan: &WeightPlan) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        kernel::avx2::supported(&plan.opts)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = plan;
-        false
-    }
-}
-
 /// Sweeps all m-tiles for one `n_block` chunk of rows. `tables[i]` belongs
 /// to output row `n0 + i` of `out`.
 ///
-/// On the multi-row paths the chunk is split into `row_block`-row register
+/// With a multi-row kernel the chunk is split into `row_block`-row register
 /// blocks, each interleaved into a [`BatchTables`] and swept with K-panel
-/// blocking; otherwise the per-row GEMV kernel runs with the rows innermost
-/// over the tile loop (the pre-register-blocking behaviour).
-fn sweep_block(
-    plan: &WeightPlan,
-    tables: &[ActTables],
-    n0: usize,
-    out: &mut [f32],
-    use_avx2: bool,
-    ctx: &ExecCtx,
-) {
-    let path = sweep_path(plan, use_avx2);
-    if path == SweepPath::PerRow {
-        sweep_block_per_row(plan, tables, n0, out, use_avx2, ctx);
+/// blocking; otherwise (and for a one-row remainder) the GEMV kernel runs
+/// with the rows innermost over the tile loop.
+fn sweep_block(plan: &WeightPlan, tables: &[ActTables], n0: usize, out: &mut [f32], ctx: &ExecCtx) {
+    if !multi_row(plan, tables.len()) {
+        sweep_block_per_row(plan, tables, n0, out, ctx);
         return;
     }
     let rb = plan.opts.effective_row_block();
     let mut r0 = 0;
     while r0 < tables.len() {
         let take = rb.min(tables.len() - r0);
-        let batch = BatchTables::interleave(&tables[r0..r0 + take])
-            .expect("multi-row path requires compatible quantized tables");
-        sweep_register_block(plan, &batch, n0 + r0, out, path, ctx);
+        let rows = &tables[r0..r0 + take];
+        if multi_row(plan, take) {
+            let batch = BatchTables::interleave(rows)
+                .expect("multi-row path requires compatible quantized tables");
+            sweep_register_block(plan, &batch, n0 + r0, out, ctx);
+        } else {
+            sweep_block_per_row(plan, rows, n0 + r0, out, ctx);
+        }
         r0 += take;
     }
 }
@@ -180,7 +135,6 @@ fn sweep_block_per_row(
     tables: &[ActTables],
     n0: usize,
     out: &mut [f32],
-    use_avx2: bool,
     ctx: &ExecCtx,
 ) {
     let m = plan.m;
@@ -192,7 +146,7 @@ fn sweep_block_per_row(
             let m0 = mt * TILE_M;
             let take = TILE_M.min(m - m0);
             for (ni, t) in tables.iter().enumerate() {
-                run_mtile(plan, t, mt, &mut buf, use_avx2);
+                kernel::gemv_mtile(plan, t, mt, &mut buf);
                 // SAFETY: this thread owns tile `mt`; the destination
                 // range lies in row `n0 + ni` of `out`, within bounds;
                 // the buffer outlives the dispatch.
@@ -217,7 +171,6 @@ fn sweep_register_block(
     batch: &BatchTables,
     n0: usize,
     out: &mut [f32],
-    path: SweepPath,
     ctx: &ExecCtx,
 ) {
     let m = plan.m;
@@ -239,16 +192,7 @@ fn sweep_register_block(
             let _panel = tmac_trace::span("gemm", "panel", sb0 as u64, rows as u64);
             for (ti, mt) in tiles.clone().enumerate() {
                 let bufs = &mut partials[ti * span..(ti + 1) * span];
-                match path {
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `SweepPath::MultiAvx2` is only selected when
-                    // `kernel::avx2::gemm_supported` passed the runtime
-                    // AVX2+FMA check.
-                    SweepPath::MultiAvx2 => unsafe {
-                        kernel::avx2::gemm_mtile(plan, batch, mt, sb0..sb1, bufs)
-                    },
-                    _ => kernel::scalar::gemm_plan_mtile(plan, batch, mt, sb0..sb1, bufs),
-                }
+                kernel::gemm_mtile(plan, batch, mt, sb0..sb1, bufs);
             }
             sb0 = sb1;
         }
@@ -289,7 +233,6 @@ pub fn mpgemm(
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
     check_shapes(plan, act.len(), n, out.len())?;
-    let use_avx2 = avx2_for(plan);
     let nb = plan.opts.n_block.max(1);
     let k = plan.k;
     let mut n0 = 0;
@@ -302,7 +245,7 @@ pub fn mpgemm(
         for ni in 0..nblk {
             tables.push(build_tables(plan, &act[(n0 + ni) * k..(n0 + ni + 1) * k])?);
         }
-        sweep_block(plan, &tables, n0, out, use_avx2, ctx);
+        sweep_block(plan, &tables, n0, out, ctx);
         n0 += nblk;
     }
     Ok(())
@@ -326,23 +269,25 @@ pub fn mpgemm_cached(
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
     check_shapes(plan, act.len(), n, out.len())?;
-    let use_avx2 = avx2_for(plan);
-    let path = sweep_path(plan, use_avx2);
-    if path != SweepPath::PerRow {
-        // Multi-row path: pull the pre-interleaved register blocks from the
-        // context cache (QKV-style projection groups share both the per-row
-        // builds *and* the interleave work).
-        let blocks = ctx.interleaved_tables_for(plan, act, n)?;
-        let mut n0 = 0;
-        for batch in blocks.iter() {
-            sweep_register_block(plan, batch, n0, out, path, ctx);
-            n0 += batch.rows;
-        }
-        debug_assert_eq!(n0, n, "interleaved blocks must partition the batch");
-        return Ok(());
+    if !multi_row(plan, n) {
+        let tables = ctx.batch_tables_for(plan, act, n)?;
+        return mpgemm_with_tables(plan, &tables, out, ctx);
     }
-    let tables = ctx.batch_tables_for(plan, act, n)?;
-    mpgemm_with_tables(plan, &tables, out, ctx)
+    // Multi-row path: pull the pre-interleaved register blocks from the
+    // context cache (QKV-style projection groups share both the per-row
+    // builds *and* the interleave work).
+    let (rows, blocks) = ctx.interleaved_tables_for(plan, act, n)?;
+    let mut n0 = 0;
+    for batch in blocks.iter() {
+        if multi_row(plan, batch.rows) {
+            sweep_register_block(plan, batch, n0, out, ctx);
+        } else {
+            sweep_block_per_row(plan, &rows[n0..n0 + batch.rows], n0, out, ctx);
+        }
+        n0 += batch.rows;
+    }
+    debug_assert_eq!(n0, n, "interleaved blocks must partition the batch");
+    Ok(())
 }
 
 /// [`mpgemm`] with caller-provided per-row tables (`tables.len()` rows).
@@ -371,12 +316,11 @@ pub fn mpgemm_with_tables(
     for t in tables {
         crate::gemv::check_tables_compatible(plan, t)?;
     }
-    let use_avx2 = avx2_for(plan);
     let nb = plan.opts.n_block.max(1);
     let mut n0 = 0;
     while n0 < n {
         let nblk = nb.min(n - n0);
-        sweep_block(plan, &tables[n0..n0 + nblk], n0, out, use_avx2, ctx);
+        sweep_block(plan, &tables[n0..n0 + nblk], n0, out, ctx);
         n0 += nblk;
     }
     Ok(())
@@ -587,6 +531,36 @@ mod tests {
         let mut out4 = vec![0f32; n * m];
         mpgemm_cached(&plan4, &act, n, &mut out4, &ctx).unwrap();
         assert_eq!(ctx.interleave_stats(), (1, 1), "interleave must be shared");
+    }
+
+    /// `n = 1` and one-row remainder blocks run the GEMV kernel: no
+    /// interleave work, and the same bits as `mpgemv`.
+    #[test]
+    fn one_row_blocks_take_the_gemv_kernel() {
+        let (m, k) = (64, 128);
+        let (qm, act) = setup(m, k, 9, 2);
+        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
+        let ctx = ExecCtx::new(2);
+        let mut gemv = vec![0f32; 9 * m];
+        for (row, a) in gemv.chunks_mut(m).zip(act.chunks(k)) {
+            crate::gemv::mpgemv(&plan, a, row, &ctx).unwrap();
+        }
+        ctx.next_activation();
+        let mut one = vec![0f32; m];
+        mpgemm_cached(&plan, &act[..k], 1, &mut one, &ctx).unwrap();
+        assert_eq!(one, gemv[..m]);
+        assert_eq!(ctx.interleave_stats(), (0, 0), "n = 1 must not interleave");
+        // 9 rows at row_block 8: an 8-row block plus a one-row remainder.
+        for cached in [false, true] {
+            ctx.next_activation();
+            let mut out = vec![0f32; 9 * m];
+            if cached {
+                mpgemm_cached(&plan, &act, 9, &mut out, &ctx).unwrap();
+            } else {
+                mpgemm(&plan, &act, 9, &mut out, &ctx).unwrap();
+            }
+            assert_eq!(out, gemv, "cached={cached}");
+        }
     }
 
     #[test]

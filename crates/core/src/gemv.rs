@@ -101,18 +101,13 @@ pub fn mpgemv_with_tables(
     }
     check_tables_compatible(plan, tables)?;
 
-    #[cfg(target_arch = "x86_64")]
-    let use_avx2 = kernel::avx2::supported(&plan.opts);
-    #[cfg(not(target_arch = "x86_64"))]
-    let use_avx2 = false;
-
     let m = plan.m;
     let out_ptr = OutPtr(out.as_mut_ptr());
     let out_ref = &out_ptr;
     ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
         let mut buf = [0f32; TILE_M];
         for mt in tiles {
-            run_mtile(plan, tables, mt, &mut buf, use_avx2);
+            kernel::gemv_mtile(plan, tables, mt, &mut buf);
             let m0 = mt * TILE_M;
             let take = TILE_M.min(m - m0);
             // SAFETY: tiles are disjoint across threads; `out` outlives the
@@ -152,26 +147,6 @@ pub(crate) fn check_tables_compatible(plan: &WeightPlan, t: &ActTables) -> Resul
         ));
     }
     Ok(())
-}
-
-/// Executes one m-tile on the best available backend.
-#[inline]
-pub(crate) fn run_mtile(
-    plan: &WeightPlan,
-    tables: &ActTables,
-    mt: usize,
-    buf: &mut [f32; TILE_M],
-    use_avx2: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: `use_avx2` implies `kernel::avx2::supported`, which
-        // requires the runtime AVX2+FMA check to have passed.
-        unsafe { kernel::avx2::gemv_mtile(plan, tables, mt, buf) };
-        return;
-    }
-    let _ = use_avx2;
-    kernel::scalar::gemv_plan_mtile(plan, tables, mt, buf);
 }
 
 #[cfg(test)]

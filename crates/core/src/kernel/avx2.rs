@@ -10,16 +10,22 @@
 //! |---|---|
 //! | permuted, quantized, exact | `mtile_permuted<IL, MIRROR>` |
 //! | permuted, quantized, exact, multi-row | `gemm_mtile_rows<IL, MIRROR, R>` |
+//! | permuted, interleaved, quantized, exact, multi-row, AVX-512 host | `super::avx512::gemm_mtile` instead |
 //! | permuted, quantized, fast aggregation | `mtile_permuted_fa<IL, MIRROR>` |
 //! | flat, quantized (TM-base `+TQ`, `+Tiling`) | `mtile_flat_quant` |
 //! | flat, `f32` tables (TM-base) | `mtile_flat_gather` |
 //!
-//! Everything here is `#[target_feature(enable = "avx2,fma")]`; the driver
-//! checks [`tmac_simd::avx2::available`] once per call.
+//! On an AVX-512 host the multi-row kernel here still serves the plans the
+//! Vec-LUT lane does not cover (mirror, sequential nibbles, bits × group
+//! sizes whose `i16` combine is unsafe); see [`super::KernelFamily`].
+//!
+//! Everything here is `#[target_feature(enable = "avx2,fma")]`; callers
+//! dispatch through the plan's [`super::KernelFamily`], resolved once per
+//! plan.
 
 #![allow(clippy::needless_range_loop)] // Index loops mirror the kernel structure.
 
-use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
+use crate::opts::{LUT_GROUP, TILE_M};
 use crate::plan::{Layout, WeightPlan};
 use crate::table::{ActTables, BatchTables};
 use std::arch::x86_64::*;
@@ -34,48 +40,18 @@ pub const MAX_KG_PER_BLOCK: usize = 64;
 /// [`gemm_mtile`] is monomorphized for exactly these row counts).
 pub const MAX_ROW_BLOCK: usize = crate::opts::MAX_ROW_BLOCK;
 
-/// Whether an AVX2 kernel exists for this option combination.
-///
-/// Combinations without a dedicated kernel (e.g. mirror consolidation on a
-/// flat layout) fall back to the scalar plan kernel in the driver.
-pub fn supported(opts: &KernelOpts) -> bool {
-    if !simd::available() {
-        return false;
-    }
-    if opts.table_quant {
-        // Flat layouts support only the plain quantized kernel.
-        opts.permute || (!opts.mirror && !opts.fast_aggregation)
-    } else {
-        // f32 tables: gather kernel on flat layouts only.
-        !opts.permute
-    }
-}
-
-/// Whether the multi-row mpGEMM kernel ([`gemm_mtile`]) serves this option
-/// combination on this host.
-///
-/// The register-blocked kernel exists for the permuted, quantized, exact
-/// layouts (interleave and mirror both supported). Fast aggregation and the
-/// flat/f32 layouts stay on the per-row sweep.
-pub fn gemm_supported(opts: &KernelOpts) -> bool {
-    simd::available()
-        && opts.table_quant
-        && opts.permute
-        && !opts.fast_aggregation
-        && supported(opts)
-}
-
 /// Executes one m-tile, dispatching to the right monomorphized kernel.
 ///
 /// # Safety
 ///
 /// The caller must have verified that the host CPU supports AVX2 and FMA
-/// (e.g. via [`supported`], which performs the runtime feature check).
+/// (the plan's [`super::KernelFamily`] records that check).
 ///
 /// # Panics
 ///
-/// Panics if the plan/tables combination has no AVX2 kernel (the driver
-/// checks [`supported`] first) or if `group_size / 4 > MAX_KG_PER_BLOCK`.
+/// Panics if the plan/tables combination has no AVX2 kernel (the family
+/// resolution routes those to the scalar kernel) or if
+/// `group_size / 4 > MAX_KG_PER_BLOCK`.
 #[target_feature(enable = "avx2,fma")]
 pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f32; TILE_M]) {
     let o = &plan.opts;
@@ -253,8 +229,7 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
     let stream = plan.mtile_stream(mt);
     let mut off = 0usize;
     let mut outacc = OutAcc::zero();
-    // Worst-case |combined| = kgb * 127 * (2^bits - 1) must fit i16.
-    let i16_combine_safe = kgb as u32 * 127 * ((1u32 << bits) - 1) <= i16::MAX as u32;
+    let i16_combine_safe = super::i16_combine_safe(bits, plan.group_size);
 
     // One "step" is 16 stream bytes: one (k-group, bit plane). The layout
     // is bit-major within a scale block, so consecutive steps of one bit
@@ -375,14 +350,14 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2+FMA support (e.g. via
-/// [`gemm_supported`], which performs the runtime feature check).
+/// The caller must have verified AVX2+FMA support (the plan's
+/// [`super::KernelFamily`] records that check).
 ///
 /// # Panics
 ///
 /// Panics if the plan is not a permuted exact-aggregation quantized config
-/// (check [`gemm_supported`]), `batch.rows > MAX_ROW_BLOCK`, or `outs` is
-/// shorter than `rows × TILE_M`.
+/// (the family resolution routes those elsewhere),
+/// `batch.rows > MAX_ROW_BLOCK`, or `outs` is shorter than `rows × TILE_M`.
 #[target_feature(enable = "avx2,fma")]
 pub fn gemm_mtile(
     plan: &WeightPlan,
@@ -457,7 +432,7 @@ fn gemm_mtile_rows<const IL: bool, const MIRROR: bool, const R: usize>(
     let stream = plan.mtile_stream(mt);
     let mut off = sbs.start * bits * kgb * half;
     // Same exactness bound as the single-row kernel.
-    let i16_combine_safe = kgb as u32 * 127 * ((1u32 << bits) - 1) <= i16::MAX as u32;
+    let i16_combine_safe = super::i16_combine_safe(bits, plan.group_size);
     // Prefetch distance: two 32-byte pair steps ahead of the cursor.
     const PREFETCH_AHEAD: usize = 64;
 
@@ -766,8 +741,15 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::scalar;
+    use crate::kernel::{scalar, KernelFamily};
+    use crate::opts::KernelOpts;
     use tmac_quant::rtn;
+    use tmac_simd::Isa;
+
+    /// The family an AVX2 host resolves for `opts` (at 2 bits, group 32).
+    fn family(opts: &KernelOpts) -> KernelFamily {
+        KernelFamily::resolve_for(Isa::Avx2, opts, 2, 32)
+    }
 
     fn setup(m: usize, k: usize, bits: u8, gs: usize) -> (tmac_quant::QuantizedMatrix, Vec<f32>) {
         let w: Vec<f32> = (0..m * k)
@@ -784,7 +766,11 @@ mod tests {
         let (qm, act) = setup(96, 256, bits, 32);
         let plan = WeightPlan::new(&qm, opts).unwrap();
         let tables = ActTables::build(&act, 32, &opts).unwrap();
-        assert!(supported(&opts), "opts {opts:?} should have an AVX2 kernel");
+        assert_eq!(
+            family(&opts).gemv,
+            Isa::Avx2,
+            "opts {opts:?} should have an AVX2 kernel"
+        );
         for mt in 0..plan.m_tiles() {
             let mut want = [0f32; TILE_M];
             scalar::gemv_plan_mtile(&plan, &tables, mt, &mut want);
@@ -888,7 +874,7 @@ mod tests {
             for bits in 1..=4u8 {
                 let (qm, _) = setup(96, 256, bits, 32);
                 let plan = WeightPlan::new(&qm, opts).unwrap();
-                assert!(gemm_supported(&opts), "{opts:?}");
+                assert!(family(&opts).gemm.is_some(), "{opts:?}");
                 for rows in [1usize, 3, 4, 8] {
                     let (per_row, batch) = block_tables(rows, 256, &opts);
                     let gpr = plan.groups_per_row();
@@ -951,33 +937,29 @@ mod tests {
         }
     }
 
+    /// The AVX2 family's multi-row coverage (as resolved on an AVX2 host).
     #[test]
     fn gemm_supported_gates_correctly() {
-        if !simd::available() {
-            return;
-        }
-        assert!(gemm_supported(&KernelOpts::tmac()));
-        assert!(gemm_supported(&KernelOpts::tmac_mirror()));
-        assert!(gemm_supported(&KernelOpts::plus_permute()));
+        let multi = |o: KernelOpts| family(&o).gemm == Some(Isa::Avx2);
+        assert!(multi(KernelOpts::tmac()));
+        assert!(multi(KernelOpts::tmac_mirror()));
+        assert!(multi(KernelOpts::plus_permute()));
         // FA, flat layouts and f32 tables stay per-row.
-        assert!(!gemm_supported(&KernelOpts::tmac_fast_aggregation()));
-        assert!(!gemm_supported(&KernelOpts::plus_table_quant()));
-        assert!(!gemm_supported(&KernelOpts::tm_base()));
+        assert!(!multi(KernelOpts::tmac_fast_aggregation()));
+        assert!(!multi(KernelOpts::plus_table_quant()));
+        assert!(!multi(KernelOpts::tm_base()));
     }
 
     #[test]
     fn unsupported_combos_reported() {
-        if !simd::available() {
-            return;
-        }
         // Mirror without permutation has no AVX2 kernel.
         let mut o = KernelOpts::plus_table_quant();
         o.mirror = true;
-        assert!(!supported(&o));
+        assert_eq!(family(&o).gemv, Isa::Scalar);
         // f32 tables with permutation: scalar fallback.
         let mut o = KernelOpts::plus_permute();
         o.table_quant = false;
         o.mirror = false;
-        assert!(!supported(&o));
+        assert_eq!(family(&o).gemv, Isa::Scalar);
     }
 }

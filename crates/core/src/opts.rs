@@ -69,12 +69,14 @@ pub struct KernelOpts {
 /// is left to the streamed weight indices, partial outputs, and scales.
 pub const L1_TABLE_BUDGET: usize = 16 * 1024;
 
-/// Hard cap on `row_block` — the multi-row kernels' register-block limit
-/// (eight rows × 4 bit planes × 2 `i16` accumulators already exceeds the
-/// 16 architectural `ymm` registers; larger blocks would only add spill
-/// traffic). The driver, the cost model, and the interleave cache all
-/// clamp through [`KernelOpts::effective_row_block`] so they cannot
-/// disagree.
+/// Hard cap on `row_block` — the multi-row kernels' register-block limit.
+/// On AVX2, eight rows × 4 bit planes × 2 `i16` accumulators already
+/// exceed the 16 architectural `ymm` registers, so larger blocks would only
+/// add spill traffic. The AVX-512 lane folds the bit planes into one
+/// accumulator set per 4-row group (8 of the 32 `zmm` at eight rows), and
+/// its kernels are monomorphized for exactly `1..=8` rows. The driver, the
+/// cost model, and the interleave cache all clamp through
+/// [`KernelOpts::effective_row_block`] so they cannot disagree.
 pub const MAX_ROW_BLOCK: usize = 8;
 
 impl KernelOpts {

@@ -19,6 +19,7 @@
 //! paid once offline — exactly the paper's argument for why permutation and
 //! interleaving are free at inference time.
 
+use crate::kernel::KernelFamily;
 use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
 use crate::TmacError;
 use std::sync::Arc;
@@ -51,6 +52,7 @@ enum Backing<T> {
 // SAFETY: the segment is immutable; `ptr` points into memory kept alive by
 // `backing` (the boxed slice or the shared owner), and `T` is plain data.
 unsafe impl<T: Copy + Send + Sync> Send for Segment<T> {}
+// SAFETY: as for `Send`: shared access is read-only.
 unsafe impl<T: Copy + Send + Sync> Sync for Segment<T> {}
 
 impl<T: Copy + 'static> Segment<T> {
@@ -86,6 +88,8 @@ impl<T: Copy + 'static> Segment<T> {
                 bytes.len()
             )));
         }
+        // SAFETY: `byte_off <= end <= bytes.len()` (checked above), so the
+        // offset pointer stays within (or one past) the backing bytes.
         let ptr = unsafe { bytes.as_ptr().add(byte_off) };
         if !(ptr as usize).is_multiple_of(std::mem::align_of::<T>()) {
             return Err(TmacError::Shape(format!(
@@ -177,6 +181,8 @@ pub struct WeightPlan {
     /// Effective `K`-tile length in elements (whole `K` when not tiling).
     pub tile_k: usize,
     layout: Layout,
+    /// Kernels serving this plan, resolved once at build/load time.
+    family: KernelFamily,
     /// Flat layout: `bits` planes, each `m_padded * k/8` bytes.
     flat_planes: Vec<Segment<u8>>,
     /// Permuted layout: single stream (see module docs for the order).
@@ -365,6 +371,7 @@ impl WeightPlan {
             opts,
             tile_k,
             layout,
+            family: KernelFamily::resolve(&opts, bits, qm.group_size),
             flat_planes,
             perm_stream: Segment::from_vec(perm_stream),
             scales_flat: Segment::from_vec(scales_flat),
@@ -520,6 +527,7 @@ impl WeightPlan {
             opts,
             tile_k,
             layout,
+            family: KernelFamily::resolve(&opts, bits, group_size),
             flat_planes,
             perm_stream,
             scales_flat,
@@ -598,6 +606,12 @@ impl WeightPlan {
     /// The physical layout of this plan.
     pub fn layout(&self) -> Layout {
         self.layout
+    }
+
+    /// The kernels serving this plan on this host, resolved once when the
+    /// plan was built or loaded (see [`KernelFamily`]).
+    pub fn family(&self) -> KernelFamily {
+        self.family
     }
 
     /// Number of k-groups (`K / 4`).

@@ -6,7 +6,7 @@ use tmac_simd::Isa;
 
 fn main() {
     let mut table = Table::new(&["instruction set", "look-up", "fast aggregation", "lanes"]);
-    for isa in [Isa::Neon, Isa::Avx2, Isa::Scalar] {
+    for isa in [Isa::Neon, Isa::Avx512, Isa::Avx2, Isa::Scalar] {
         table.row(vec![
             isa.name().to_uppercase(),
             isa.lookup_intrinsic().into(),

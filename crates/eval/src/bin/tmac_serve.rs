@@ -48,6 +48,8 @@ fn install_signal_handlers() {
     const SIGINT: c_int = 2;
     const SIGTERM: c_int = 15;
     const SIGUSR1: c_int = 10;
+    // SAFETY: the handlers are async-signal-safe (one atomic add each) and
+    // `extern "C"` with the signature `signal` expects.
     unsafe {
         signal(SIGINT, on_signal as *const () as usize);
         signal(SIGTERM, on_signal as *const () as usize);

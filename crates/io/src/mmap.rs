@@ -69,6 +69,8 @@ pub struct Mapping {
 // SAFETY: the region is immutable for the life of the mapping (read-only
 // private mapping / owned buffer), so shared access is safe.
 unsafe impl Send for Mapping {}
+// SAFETY: as for `Send`: the region is never written, so `&Mapping` may be
+// shared across threads.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {

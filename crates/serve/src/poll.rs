@@ -129,12 +129,15 @@ impl Waker {
     pub fn wake(&self) {
         let b = [1u8];
         // EAGAIN (pipe full) still means the poller has a pending wakeup.
+        // SAFETY: `wake_tx` is an open pipe fd owned by `WakerInner` (closed
+        // only on its drop); `b` is 1 readable byte.
         unsafe { sys::write(self.0.wake_tx, b.as_ptr().cast(), 1) };
     }
 }
 
 impl Drop for WakerInner {
     fn drop(&mut self) {
+        // SAFETY: the last handle owns `wake_tx`; nothing uses it after this.
         unsafe { sys::close(self.wake_tx) };
     }
 }
@@ -149,6 +152,8 @@ fn last_err(what: &str) -> io::Error {
 
 /// Puts `fd` into non-blocking mode.
 pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
+    // SAFETY: `fcntl` with integer arguments touches no caller memory; a
+    // bad fd is reported as an error return.
     unsafe {
         let flags = sys::fcntl(fd, sys::F_GETFL, 0);
         if flags < 0 {
@@ -165,18 +170,22 @@ impl Poller {
     /// Creates the epoll set and registers the waker pipe under
     /// [`WAKE_TOKEN`].
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: plain syscall with no pointer arguments.
         let epfd = unsafe { sys::epoll_create1(0) };
         if epfd < 0 {
             return Err(last_err("epoll_create1"));
         }
         let mut fds = [0i32; 2];
+        // SAFETY: `fds` has room for the two fds `pipe` writes.
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
+            // SAFETY: `epfd` was just opened here and is not shared.
             unsafe { sys::close(epfd) };
             return Err(last_err("pipe"));
         }
         let (rx, tx) = (fds[0], fds[1]);
         for fd in [rx, tx] {
             if let Err(e) = set_nonblocking(fd) {
+                // SAFETY: all three fds were opened above and are not shared.
                 unsafe {
                     sys::close(epfd);
                     sys::close(rx);
@@ -209,6 +218,7 @@ impl Poller {
         } else {
             &mut ev as *mut _
         };
+        // SAFETY: `evp` is null (DEL) or points at `ev`, live for the call.
         if unsafe { sys::epoll_ctl(self.epfd, op, fd, evp) } < 0 {
             return Err(last_err("epoll_ctl"));
         }
@@ -239,6 +249,7 @@ impl Poller {
     pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<bool> {
         const CAP: usize = 64;
         let mut raw = [sys::EpollEvent { events: 0, data: 0 }; CAP];
+        // SAFETY: `raw` has room for `CAP` events, the count passed in.
         let n = unsafe { sys::epoll_wait(self.epfd, raw.as_mut_ptr(), CAP as i32, timeout_ms) };
         if n < 0 {
             let e = io::Error::last_os_error();
@@ -254,6 +265,7 @@ impl Poller {
                 woke = true;
                 // Drain the pipe so the next wait can sleep.
                 let mut buf = [0u8; 64];
+                // SAFETY: `buf` has `buf.len()` writable bytes.
                 while unsafe { sys::read(self.wake_rx, buf.as_mut_ptr().cast(), buf.len()) } > 0 {}
                 continue;
             }
@@ -270,6 +282,7 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: the poller owns both fds; nothing uses them after drop.
         unsafe {
             sys::close(self.wake_rx);
             sys::close(self.epfd);

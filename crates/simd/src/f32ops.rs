@@ -2,7 +2,7 @@
 //!
 //! These are the convenience entry points used outside the innermost GEMM
 //! kernels (normalization layers, attention, reductions). Each call checks
-//! the cached CPU-feature flag once and dispatches to the AVX2/NEON backend
+//! the cached CPU-feature flag once and dispatches to the AVX2 backend
 //! or the scalar fallback.
 
 use crate::scalar;
@@ -23,11 +23,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     if crate::avx2::available() {
         // SAFETY: AVX2+FMA support verified by `available()`.
         return unsafe { crate::avx2::dot_f32(a, b) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if crate::neon::available() {
-        // SAFETY: NEON support verified by `available()`.
-        return unsafe { crate::neon::dot_f32(a, b) };
     }
     scalar::dot_f32(a, b)
 }

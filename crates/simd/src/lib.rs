@@ -14,20 +14,23 @@
 //!    "Fast 8-bit aggregation").
 //!
 //! This crate provides those primitives plus the generic `f32`/`i8` vector
-//! helpers used by the rest of the workspace, with three backends:
+//! helpers used by the rest of the workspace, with two backends:
 //!
 //! * [`scalar`] — portable reference implementations. Always available; also
 //!   the oracle for the SIMD backends' unit tests.
 //! * `avx2` — x86-64 AVX2 implementations (runtime-detected).
-//! * `neon` — AArch64 NEON implementations (compiled only on aarch64).
+//!
+//! No NEON backend is compiled: [`Isa::Neon`] only names the paper's ARM
+//! row of Table 1.
 //!
 //! # Safety policy
 //!
 //! All `unsafe` in the workspace's hot paths is confined to this crate and to
-//! `tmac-core`'s AVX2 kernels. Every `unsafe` block carries a `// SAFETY:`
-//! comment. SIMD entry points are `#[target_feature]` functions; callers must
-//! verify support once (see [`Isa::detect`]) and are then allowed to call the
-//! whole kernel family.
+//! `tmac-core`'s AVX2/AVX-512 kernels. Every `unsafe` block carries a
+//! `// SAFETY:` comment (CI denies `clippy::undocumented_unsafe_blocks`).
+//! SIMD entry points are `#[target_feature]` functions; callers must verify
+//! support once (see [`Isa::detect`]) and are then allowed to call the whole
+//! kernel family.
 //!
 //! # Examples
 //!
@@ -48,9 +51,6 @@ pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
 
-#[cfg(target_arch = "aarch64")]
-pub mod neon;
-
 /// Instruction-set architecture selected at runtime.
 ///
 /// Mirrors the paper's Table 1: each ISA maps to a *look-up* and a *fast
@@ -63,7 +63,12 @@ pub enum Isa {
     Scalar,
     /// x86-64 AVX2 (256-bit, `PSHUFB`-class lookups).
     Avx2,
-    /// AArch64 NEON (128-bit, `TBL` lookups).
+    /// x86-64 AVX-512 F/BW/VL on top of AVX2+FMA (512-bit `PSHUFB`: four
+    /// 16-entry tables per register).
+    Avx512,
+    /// AArch64 NEON (128-bit, `TBL` lookups). Listed for the paper's
+    /// Table 1 only: no NEON kernels are compiled, so [`Isa::detect`]
+    /// never returns it.
     Neon,
 }
 
@@ -73,20 +78,21 @@ impl Isa {
     /// Detection is a runtime check (`is_x86_feature_detected!`), so binaries
     /// remain portable: running on a CPU without AVX2 falls back to scalar
     /// code instead of executing illegal instructions (which would be
-    /// undefined behavior).
+    /// undefined behavior). [`Isa::Avx512`] implies every [`Isa::Avx2`]
+    /// feature, so a caller may run AVX2 kernels on either.
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             // FMA is required alongside AVX2: the f32 kernels use fused
             // multiply-adds. Every AVX2-era core (Haswell+) provides both.
             if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+                if std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512bw")
+                    && std::is_x86_feature_detected!("avx512vl")
+                {
+                    return Isa::Avx512;
+                }
                 return Isa::Avx2;
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                return Isa::Neon;
             }
         }
         Isa::Scalar
@@ -97,6 +103,7 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
             Isa::Neon => "neon",
         }
     }
@@ -106,6 +113,7 @@ impl Isa {
         match self {
             Isa::Scalar => "array index (portable)",
             Isa::Avx2 => "_mm256_shuffle_epi8",
+            Isa::Avx512 => "_mm512_shuffle_epi8",
             Isa::Neon => "vqtbl1q_u8",
         }
     }
@@ -115,6 +123,7 @@ impl Isa {
         match self {
             Isa::Scalar => "(a + b + 1) >> 1 (portable)",
             Isa::Avx2 => "_mm256_avg_epu8",
+            Isa::Avx512 => "_mm512_avg_epu8",
             Isa::Neon => "vrhaddq_u8",
         }
     }
@@ -124,6 +133,7 @@ impl Isa {
         match self {
             Isa::Scalar => 1,
             Isa::Avx2 => 32,
+            Isa::Avx512 => 64,
             Isa::Neon => 16,
         }
     }
@@ -133,6 +143,7 @@ impl Isa {
         match self {
             Isa::Scalar => 1,
             Isa::Avx2 => 32,
+            Isa::Avx512 => 64,
             Isa::Neon => 16,
         }
     }
@@ -157,7 +168,7 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let all = [Isa::Scalar, Isa::Avx2, Isa::Neon];
+        let all = [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon];
         for (i, x) in all.iter().enumerate() {
             for y in &all[i + 1..] {
                 assert_ne!(x.name(), y.name());
@@ -168,7 +179,7 @@ mod tests {
 
     #[test]
     fn widths_match_lookups() {
-        for isa in [Isa::Scalar, Isa::Avx2, Isa::Neon] {
+        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon] {
             assert_eq!(isa.width_bytes(), isa.lookups_per_instr());
         }
     }
@@ -176,8 +187,10 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn x86_detects_at_least_scalar() {
-        // On the CI host AVX2 is available; elsewhere scalar is fine.
+        // On the CI host AVX2 (or AVX-512) is available; elsewhere scalar
+        // is fine. NEON is never detected on x86.
         let isa = Isa::detect();
-        assert!(matches!(isa, Isa::Avx2 | Isa::Scalar));
+        assert!(matches!(isa, Isa::Avx512 | Isa::Avx2 | Isa::Scalar));
+        assert_eq!(isa == Isa::Scalar, !crate::avx2::available());
     }
 }
