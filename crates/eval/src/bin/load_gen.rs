@@ -48,8 +48,7 @@
 //! answers, every gauge drains to zero, at least one sequence was
 //! quarantined, the metrics snapshot is internally consistent, and a
 //! post-chaos request is bit-exact against a Scheduler-direct reference.
-//! Violations abort with a non-zero exit. `--mode epoll|threads` pins the
-//! connection driver so CI can gate both.
+//! Violations abort with a non-zero exit.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -60,7 +59,7 @@ use tmac_eval::Table;
 use tmac_llm::batch::{Scheduler, SchedulerConfig};
 use tmac_llm::{BackendKind, Model, ModelConfig, WeightQuant};
 use tmac_rng::Rng;
-use tmac_serve::{ConnMode, Json, ServerConfig};
+use tmac_serve::{Json, ServerConfig};
 
 /// Attempts beyond the first for a shed (429) request.
 const MAX_RETRIES: u32 = 4;
@@ -390,12 +389,6 @@ fn main() {
     let do_chaos = std::env::args().any(|a| a == "--chaos");
     let do_shared = std::env::args().any(|a| a == "--shared-prefix");
     let do_trace = std::env::args().any(|a| a == "--trace");
-    let mode = match tmac_eval::arg("mode", "auto").as_str() {
-        "auto" => ConnMode::Auto,
-        "epoll" => ConnMode::Epoll,
-        "threads" => ConnMode::Threads,
-        other => panic!("--mode must be auto|epoll|threads, got {other}"),
-    };
     let external = tmac_eval::arg("addr", "");
     let threads: usize = tmac_eval::arg("threads", "1").parse().expect("--threads");
     let max_batch: usize = tmac_eval::arg("batch", "4").parse().expect("--batch");
@@ -424,11 +417,11 @@ fn main() {
         .expect("--temperature");
 
     if do_chaos {
-        run_chaos(mode, seed, threads);
+        run_chaos(seed, threads);
         return;
     }
     if do_shared {
-        run_shared_prefix(mode, threads, quick);
+        run_shared_prefix(threads, quick);
         return;
     }
 
@@ -459,15 +452,8 @@ fn main() {
                 ..SchedulerConfig::default()
             },
         );
-        let server = tmac_serve::start(
-            sched,
-            ExecCtx::new(threads),
-            ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("start server");
+        let server = tmac_serve::start(sched, ExecCtx::new(threads), ServerConfig::default())
+            .expect("start server");
         (server.addr(), Some(server))
     } else {
         (external.parse().expect("--addr host:port"), None)
@@ -751,7 +737,7 @@ fn main() {
 /// tokens stay bit-exact versus driving the `Scheduler` directly on a
 /// fresh identical model with caching disabled. Violations panic
 /// (non-zero exit), so CI can gate on this directly.
-fn run_shared_prefix(mode: ConnMode, threads: usize, quick: bool) {
+fn run_shared_prefix(threads: usize, quick: bool) {
     use tmac_llm::batch::SubmitRequest;
     use tmac_llm::PAGE_POSITIONS;
 
@@ -814,10 +800,7 @@ fn run_shared_prefix(mode: ConnMode, threads: usize, quick: bool) {
             },
         ),
         ExecCtx::new(threads),
-        ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("start server");
     let addr = server.addr();
@@ -893,7 +876,7 @@ fn run_shared_prefix(mode: ConnMode, threads: usize, quick: bool) {
 /// Without the `failpoints` feature there is nothing to inject; refuse
 /// loudly instead of reporting a vacuous pass.
 #[cfg(not(feature = "failpoints"))]
-fn run_chaos(_mode: ConnMode, _seed: u64, _threads: usize) {
+fn run_chaos(_seed: u64, _threads: usize) {
     eprintln!("load_gen: --chaos requires a build with --features failpoints");
     std::process::exit(2);
 }
@@ -902,7 +885,7 @@ fn run_chaos(_mode: ConnMode, _seed: u64, _threads: usize) {
 /// asserts the survival invariants. Any violation panics (non-zero exit),
 /// so CI can gate on this directly.
 #[cfg(feature = "failpoints")]
-fn run_chaos(mode: ConnMode, seed: u64, threads: usize) {
+fn run_chaos(seed: u64, threads: usize) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use tmac_core::failpoint;
@@ -934,15 +917,8 @@ fn run_chaos(mode: ConnMode, seed: u64, threads: usize) {
             ..SchedulerConfig::default()
         },
     );
-    let server = tmac_serve::start(
-        sched,
-        ExecCtx::new(threads),
-        ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("start server");
+    let server = tmac_serve::start(sched, ExecCtx::new(threads), ServerConfig::default())
+        .expect("start server");
     let addr = server.addr();
     let metrics = server.metrics();
 
@@ -952,7 +928,7 @@ fn run_chaos(mode: ConnMode, seed: u64, threads: usize) {
 
     let spec = std::env::var("TMAC_CHAOS_SPEC").unwrap_or_else(|_| DEFAULT_SPEC.replace(' ', ""));
     failpoint::configure(&spec, seed).expect("chaos failpoint spec");
-    println!("chaos: armed `{spec}` (seed {seed}, mode {mode:?})\n");
+    println!("chaos: armed `{spec}` (seed {seed})\n");
 
     // Liveness prober: /healthz must keep answering during the storm.
     let stop = Arc::new(AtomicBool::new(false));

@@ -11,12 +11,11 @@
 //! container; containers resolve `--backend <registry name>`),
 //! `--addr host:port` (default `127.0.0.1:8080`), `--threads N` (step-loop
 //! ExecCtx threads), `--batch B` (KV slots), `--pending Q` (admission queue
-//! bound; 0 = unbounded), `--mode auto|epoll|threads` (connection driver),
-//! `--max-tokens N` (default when a request omits `max_tokens`),
-//! `--deadline-ms D` (default deadline; 0 = none), `--kv f32|i8`,
-//! `--trace-out DIR` (dump the in-memory span rings as Chrome-trace JSON
-//! into `DIR` on every SIGUSR1 and once more when the drain completes;
-//! load the files in Perfetto or `chrome://tracing`).
+//! bound; 0 = unbounded), `--max-tokens N` (default when a request omits
+//! `max_tokens`), `--deadline-ms D` (default deadline; 0 = none),
+//! `--kv f32|i8`, `--trace-out DIR` (dump the in-memory span rings as
+//! Chrome-trace JSON into `DIR` on every SIGUSR1 and once more when the
+//! drain completes; load the files in Perfetto or `chrome://tracing`).
 //!
 //! On SIGINT or SIGTERM the server stops accepting, finishes every
 //! in-flight sequence, then exits 0 (second signal: immediate abort).
@@ -28,7 +27,7 @@ use tmac_llm::batch::{Scheduler, SchedulerConfig};
 use tmac_llm::{
     BackendKind, BackendRegistry, KvPrecision, LoadMode, Model, ModelConfig, WeightQuant,
 };
-use tmac_serve::{ConnMode, ServerConfig};
+use tmac_serve::ServerConfig;
 
 static SIGNALS: AtomicU32 = AtomicU32::new(0);
 static TRACE_DUMPS: AtomicU32 = AtomicU32::new(0);
@@ -87,12 +86,6 @@ fn main() {
     let default_deadline_ms: u64 = tmac_eval::arg("deadline-ms", "0")
         .parse()
         .expect("--deadline-ms");
-    let mode = match tmac_eval::arg("mode", "auto").as_str() {
-        "auto" => ConnMode::Auto,
-        "epoll" => ConnMode::Epoll,
-        "threads" => ConnMode::Threads,
-        other => panic!("unknown --mode {other:?} (auto|epoll|threads)"),
-    };
     let kv = match tmac_eval::arg("kv", "f32").as_str() {
         "f32" => KvPrecision::F32,
         "i8" => KvPrecision::I8,
@@ -151,7 +144,6 @@ fn main() {
         ExecCtx::new(threads),
         ServerConfig {
             addr,
-            mode,
             default_max_tokens,
             default_deadline_ms,
             ..ServerConfig::default()

@@ -36,9 +36,8 @@ use tmac_core::ExecCtx;
 use tmac_llm::batch::{FinishReason, Scheduler, SeqId, SeqTiming, SubmitRequest};
 use tmac_llm::sampling::SamplingParams;
 
-/// Wakes a connection driver (the epoll loop's eventfd/pipe) after events
-/// are queued; thread-per-connection handlers block on the channel and
-/// need no waker.
+/// Wakes the connection driver (the epoll loop's eventfd/pipe) after
+/// events are queued.
 pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
 
 /// Why a served sequence ended (the bridge-level refinement of
@@ -90,16 +89,16 @@ pub enum SeqEvent {
 }
 
 /// The consumer half of a request: an event channel plus the waker that
-/// nudges whoever drives the connection.
+/// nudges the connection driver.
 #[derive(Clone)]
 pub struct TokenSink {
     tx: Sender<SeqEvent>,
-    waker: Option<WakeFn>,
+    waker: WakeFn,
 }
 
 impl TokenSink {
     /// Pairs a sink with its receiving channel.
-    pub fn channel(waker: Option<WakeFn>) -> (TokenSink, Receiver<SeqEvent>) {
+    pub fn channel(waker: WakeFn) -> (TokenSink, Receiver<SeqEvent>) {
         let (tx, rx) = std::sync::mpsc::channel();
         (TokenSink { tx, waker }, rx)
     }
@@ -108,17 +107,13 @@ impl TokenSink {
         // A dead receiver means the connection is gone; its cancel flag
         // (checked every loop iteration) reclaims the slot.
         let _ = self.tx.send(ev);
-        if let Some(w) = &self.waker {
-            w();
-        }
+        (self.waker)();
     }
 }
 
 impl std::fmt::Debug for TokenSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TokenSink")
-            .field("waker", &self.waker.is_some())
-            .finish()
+        f.debug_struct("TokenSink").finish_non_exhaustive()
     }
 }
 
@@ -762,7 +757,7 @@ mod tests {
     }
 
     fn submission(prompt: &[u32], max_new: usize) -> (Submission, Receiver<SeqEvent>) {
-        let (sink, rx) = TokenSink::channel(None);
+        let (sink, rx) = TokenSink::channel(Arc::new(|| {}));
         (
             Submission {
                 prompt: prompt.to_vec(),

@@ -300,7 +300,7 @@ fn process_idle(c: &mut Conn, shared: &Shared, wake: &WakeFn) -> bool {
             c.last_data = Instant::now();
             let keep = req.keep_alive() && !shared.is_draining();
             c.keep = keep;
-            match handle_request(shared, &req, Some(Arc::clone(wake))) {
+            match handle_request(shared, &req, Arc::clone(wake)) {
                 Outcome::Respond(resp) => {
                     shared.metrics.count_status(resp.status);
                     let bytes = resp.encode(keep);

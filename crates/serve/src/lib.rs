@@ -11,9 +11,10 @@
 //! Everything is hand-rolled on `std`, matching the repo's no-external-
 //! crates rule: [`json`] is the wire codec, [`http`] the HTTP/1.1 + SSE
 //! layer, [`poll`] a thin epoll wrapper (Linux), [`bridge`] the bounded
-//! submission channel into the step loop, and [`server`] the listener plus
-//! the two connection drivers (epoll event loop, thread-per-connection
-//! fallback).
+//! submission channel into the step loop, and [`server`] the listener,
+//! routing and responses. One epoll event loop drives every connection;
+//! [`start`] returns an [`std::io::ErrorKind::Unsupported`] error on
+//! targets other than Linux.
 //!
 //! Serving semantics:
 //!
@@ -26,7 +27,7 @@
 //! * **Cancellation** — a client disconnect flips the request's cancel
 //!   flag; the step loop frees the KV slot on its next iteration.
 //! * **Graceful drain** — `ServerHandle::drain` stops accepting, lets
-//!   in-flight sequences finish, then the step loop and drivers exit.
+//!   in-flight sequences finish, then the step loop and event loop exit.
 //! * **Supervision** — a watchdog thread respawns the step loop after a
 //!   panic (bounded restarts with exponential backoff); `GET /healthz`
 //!   degrades to 503 when the loop stalls or dies. See
@@ -68,4 +69,4 @@ pub use bridge::{BridgeHandle, EndReason, HealthState, SeqEvent, SubmitError, Su
 pub use http::Limits;
 pub use json::Json;
 pub use metrics::Metrics;
-pub use server::{start, ConnMode, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle};

@@ -1,14 +1,14 @@
-//! Serving metrics: lock-free counters/gauges the step loop and connection
-//! handlers update, rendered as a Prometheus-style text exposition at
+//! Serving metrics: lock-free counters/gauges the step loop and event loop
+//! update, rendered as a Prometheus-style text exposition at
 //! `GET /metrics`.
 //!
 //! Counters are monotonically increasing totals; gauges are
 //! point-in-time values the step loop refreshes every iteration. Latency
 //! distributions (TTFT, end-to-end latency, queue wait, step duration,
-//! batch occupancy) are fixed-bucket [`Histogram`]s from `tmac-trace` —
-//! one implementation shared with the tracing layer, so the `_bucket`
-//! series and the legacy avg/max/observations lines (derived from the
-//! same histogram's sum/count/max) cannot drift apart.
+//! batch occupancy) are fixed-bucket [`Histogram`]s from `tmac-trace`,
+//! one implementation shared with the tracing layer, rendered as
+//! `_bucket`/`_sum`/`_count` series: `tmac_ttft_seconds` and
+//! `tmac_e2e_latency_seconds` are the latency surface.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -65,21 +65,8 @@ impl Gauge {
     }
 }
 
-/// (average milliseconds, observation count, max milliseconds) of a
-/// seconds-valued histogram — the legacy `/metrics` aggregate lines,
-/// derived from the same counters as the `_bucket` series.
-fn snapshot_ms(h: &Histogram) -> (f64, u64, f64) {
-    let n = h.count();
-    let avg = if n == 0 {
-        0.0
-    } else {
-        h.sum() / n as f64 * 1e3
-    };
-    (avg, n, h.max() * 1e3)
-}
-
-/// All serving metrics, shared (behind an `Arc`) between the listener,
-/// connection handlers, and the scheduler step loop.
+/// All serving metrics, shared (behind an `Arc`) between the event loop
+/// and the scheduler step loop.
 #[derive(Debug)]
 pub struct Metrics {
     /// Process start (uptime base for tok/s).
@@ -261,8 +248,6 @@ impl Metrics {
     pub fn render(&self) -> String {
         let uptime = self.start.elapsed().as_secs_f64().max(1e-9);
         let toks = self.tokens_out.get();
-        let (ttft_avg, ttft_n, ttft_max) = snapshot_ms(&self.ttft);
-        let (lat_avg, lat_n, lat_max) = snapshot_ms(&self.request_latency);
         let mut s = String::with_capacity(1024);
         let mut line = |k: &str, v: f64| {
             s.push_str(k);
@@ -352,12 +337,6 @@ impl Metrics {
         );
         line("tmac_quarantined_total", self.quarantined.get() as f64);
         line("tmac_last_step_age_seconds", self.last_step_age_seconds());
-        line("tmac_ttft_ms_avg", ttft_avg);
-        line("tmac_ttft_ms_max", ttft_max);
-        line("tmac_ttft_observations", ttft_n as f64);
-        line("tmac_request_latency_ms_avg", lat_avg);
-        line("tmac_request_latency_ms_max", lat_max);
-        line("tmac_request_latency_observations", lat_n as f64);
         self.ttft.render_prometheus("tmac_ttft_seconds", &mut s);
         self.request_latency
             .render_prometheus("tmac_e2e_latency_seconds", &mut s);
@@ -404,11 +383,11 @@ mod tests {
             "tmac_responses_total{class=\"429\"} 1",
             "tmac_responses_total{class=\"4xx\"} 1",
             "tmac_responses_total{class=\"5xx\"} 1",
-            "tmac_ttft_ms_avg 1.5",
             "tmac_kv_slots_total 16",
             // The five histogram families, cumulative-le with +Inf closing.
             "tmac_ttft_seconds_bucket{le=\"0.0025\"} 1",
             "tmac_ttft_seconds_bucket{le=\"+Inf\"} 1",
+            "tmac_ttft_seconds_sum 0.0015",
             "tmac_ttft_seconds_count 1",
             "tmac_e2e_latency_seconds_bucket{le=\"+Inf\"} 0",
             "tmac_queue_wait_seconds_bucket{le=\"0.005\"} 1",

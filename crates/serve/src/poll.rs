@@ -1,4 +1,4 @@
-//! Thin epoll wrapper (Linux only) for the event-loop connection mode.
+//! Thin epoll wrapper (Linux only) for the event-loop connection driver.
 //!
 //! Like `tmac-io`'s mmap module, this declares the handful of libc symbols
 //! it needs locally instead of pulling in a bindings crate — std already

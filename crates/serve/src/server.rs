@@ -1,18 +1,12 @@
-//! The serving front-end: listener, request routing, and the
-//! thread-per-connection fallback driver.
+//! The serving front-end: listener, request routing and responses.
 //!
-//! Two connection drivers share all routing/response logic:
-//!
-//! * **Epoll** (`event_loop`, Linux): one thread multiplexes every
-//!   connection through a non-blocking state machine.
-//! * **Threads** (portable): one OS thread per connection with blocking
-//!   reads under a short timeout, so drain/disconnect checks stay
-//!   responsive.
-//!
-//! Both submit work over the [`crate::bridge`], answer `429 + Retry-After`
-//! on queue-full, honor per-request deadlines with typed 504s, cancel the
-//! sequence when the client goes away, and stop accepting during a
-//! graceful drain while in-flight requests run to completion.
+//! Connections are driven by the epoll event loop (`event_loop`, Linux):
+//! one thread multiplexes every connection through a non-blocking state
+//! machine and calls `handle_request` for each parsed request. Routing
+//! submits work over the [`crate::bridge`], answers `429 + Retry-After`
+//! on queue-full, and turns deadline expiry into a typed 504; the driver
+//! cancels the sequence when the client goes away and stops accepting
+//! during a graceful drain while in-flight requests run to completion.
 
 use crate::bridge::{
     self, BridgeHandle, EndReason, HealthState, SeqEvent, Submission, SubmitError, SupervisorOpts,
@@ -21,51 +15,21 @@ use crate::bridge::{
 use crate::http::{self, HttpError, Limits, Request, Response};
 use crate::json::Json;
 use crate::metrics::Metrics;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tmac_core::failpoint::{self, FailAction};
 use tmac_core::ExecCtx;
 use tmac_llm::batch::{Scheduler, SeqTiming};
 use tmac_llm::sampling::SamplingParams;
-
-/// How connections are driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnMode {
-    /// Epoll on Linux, threads elsewhere.
-    Auto,
-    /// Single-threaded epoll event loop (Linux only).
-    Epoll,
-    /// One blocking OS thread per connection (portable).
-    Threads,
-}
-
-impl ConnMode {
-    /// Resolves `Auto` for the current platform.
-    pub fn resolve(self) -> ConnMode {
-        match self {
-            ConnMode::Auto => {
-                if cfg!(target_os = "linux") {
-                    ConnMode::Epoll
-                } else {
-                    ConnMode::Threads
-                }
-            }
-            m => m,
-        }
-    }
-}
 
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Connection driver.
-    pub mode: ConnMode,
     /// HTTP parsing limits.
     pub limits: Limits,
     /// `max_tokens` when the request omits it.
@@ -82,7 +46,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            mode: ConnMode::Auto,
             limits: Limits::default(),
             default_max_tokens: 16,
             default_deadline_ms: 0,
@@ -92,7 +55,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the listener, connection drivers, and handle.
+/// State shared by the event loop, the bridge and the handle.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) bridge: BridgeHandle,
@@ -112,7 +75,7 @@ impl Shared {
     }
 }
 
-/// An admitted completion the connection driver must see through to its
+/// An admitted completion the event loop must see through to its
 /// terminal event.
 pub(crate) struct PendingCompletion {
     pub(crate) rx: Receiver<SeqEvent>,
@@ -127,8 +90,8 @@ pub(crate) struct PendingCompletion {
     pub(crate) submit_ns: u64,
 }
 
-/// Closes the request-lifecycle span (submit → terminal event). Both
-/// connection drivers call this when the `Done` event arrives.
+/// Closes the request-lifecycle span (submit → terminal event). The
+/// event loop calls this when the `Done` event arrives.
 pub(crate) fn trace_request_done(pc: &PendingCompletion, tokens: usize) {
     tmac_trace::complete(
         "serve",
@@ -148,13 +111,9 @@ pub(crate) enum Outcome {
     Completion(PendingCompletion),
 }
 
-/// Routes one parsed request. Mode-independent: the driver passes its
-/// waker (epoll) or `None` (blocking threads).
-pub(crate) fn handle_request(
-    shared: &Shared,
-    req: &Request,
-    waker: Option<bridge::WakeFn>,
-) -> Outcome {
+/// Routes one parsed request; `waker` nudges the event loop whenever the
+/// step loop queues events for an admitted completion.
+pub(crate) fn handle_request(shared: &Shared, req: &Request, waker: bridge::WakeFn) -> Outcome {
     let m = &shared.metrics;
     match (
         req.method.as_str(),
@@ -220,7 +179,7 @@ pub(crate) fn handle_request(
 fn submit_completion(
     shared: &Shared,
     req: &Request,
-    waker: Option<bridge::WakeFn>,
+    waker: bridge::WakeFn,
 ) -> Result<PendingCompletion, Response> {
     let info = &shared.bridge.info;
     let bad = |kind: &str, msg: &str| Err(Response::error(400, kind, msg));
@@ -652,24 +611,20 @@ impl ServerHandle {
     }
 
     /// Begins graceful drain: the listener stops accepting, queued and
-    /// active sequences finish, then the step loop and drivers exit.
+    /// active sequences finish, then the step loop and event loop exit.
     /// Returns immediately; follow with [`ServerHandle::join`].
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::Release);
         self.shared.bridge.drain();
     }
 
-    /// Waits for the drivers and step loop to exit (after
-    /// [`ServerHandle::drain`] or [`ServerHandle::abort`]).
+    /// Waits for the event loop and step loop to exit (after
+    /// [`ServerHandle::drain`] or [`ServerHandle::abort`]). The event loop
+    /// closes every connection before it returns, so the connection gauge
+    /// reads 0 afterwards.
     pub fn join(mut self) {
         for j in self.joins.drain(..) {
             let _ = j.join();
-        }
-        // Threads-mode connection handlers are detached; wait for the open
-        // connection gauge to empty (bounded).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.metrics.connections.get() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
         }
     }
 
@@ -688,353 +643,55 @@ impl ServerHandle {
     }
 }
 
-/// Builds the bridge + listener and spawns the configured connection
-/// driver.
+/// Builds the bridge + listener and spawns the epoll event loop.
 ///
 /// # Errors
 ///
-/// I/O errors from binding the listener or creating the poller.
+/// I/O errors from binding the listener or creating the poller;
+/// [`io::ErrorKind::Unsupported`] on targets other than Linux, where
+/// there is no epoll.
 pub fn start(sched: Scheduler, ctx: ExecCtx, cfg: ServerConfig) -> io::Result<ServerHandle> {
-    let metrics = Arc::new(Metrics::new());
-    let (bridge, step_join) = bridge::start_with(
-        sched,
-        ctx,
-        Arc::clone(&metrics),
-        Duration::from_millis(10),
-        cfg.supervisor,
-    );
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    // Both drivers poll a non-blocking listener; failing here (instead of
-    // inside the driver thread) propagates a real io::Error to the caller.
-    listener.set_nonblocking(true)?;
-    let mode = cfg.mode.resolve();
-    let shared = Arc::new(Shared {
-        cfg,
-        bridge,
-        metrics,
-        req_counter: AtomicU64::new(0),
-        draining: AtomicBool::new(false),
-        stop: AtomicBool::new(false),
-    });
-    let driver = match mode {
-        ConnMode::Threads => {
-            let s = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("tmac-accept".into())
-                .spawn(move || accept_loop_threads(listener, s))
-                .expect("spawn accept loop")
-        }
-        #[cfg(target_os = "linux")]
-        ConnMode::Epoll | ConnMode::Auto => {
-            let s = Arc::clone(&shared);
-            let poller = crate::poll::Poller::new()?;
-            std::thread::Builder::new()
-                .name("tmac-event-loop".into())
-                .spawn(move || crate::event_loop::run(listener, s, poller))
-                .expect("spawn event loop")
-        }
-        #[cfg(not(target_os = "linux"))]
-        ConnMode::Epoll | ConnMode::Auto => {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll mode requires Linux; use ConnMode::Threads",
-            ));
-        }
-    };
-    Ok(ServerHandle {
-        addr,
-        shared,
-        joins: vec![driver, step_join],
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Threads mode
-// ---------------------------------------------------------------------------
-
-fn accept_loop_threads(listener: TcpListener, shared: Arc<Shared>) {
-    // The listener was made non-blocking by `start` before spawning us.
-    loop {
-        if shared.is_stopped() || shared.is_draining() {
-            return; // dropping the listener closes it
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Chaos: an armed `serve/accept=error` hangs up on the
-                // client right after the TCP handshake.
-                if failpoint::fire("serve/accept") == Some(FailAction::Error) {
-                    drop(stream);
-                    continue;
-                }
-                tmac_trace::instant("serve", "accept", 0, 0);
-                let s = Arc::clone(&shared);
-                s.metrics.connections.inc();
-                let _ = std::thread::Builder::new()
-                    .name("tmac-conn".into())
-                    .spawn(move || {
-                        serve_conn_blocking(stream, &s);
-                        s.metrics.connections.dec();
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (sched, ctx, cfg);
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "tmac-serve drives connections with epoll, which requires Linux",
+        ));
     }
-}
-
-/// `write_all` through the `serve/write` failpoint: `Short` tears the
-/// response after one byte, `Again`/`Error` fail outright — either way
-/// the caller treats the client as gone (cancel + close), which is
-/// exactly what a real mid-write disconnect produces.
-fn write_all_fp(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<()> {
-    match failpoint::fire("serve/write") {
-        Some(FailAction::Short) => {
-            if !bytes.is_empty() {
-                let _ = stream.write_all(&bytes[..1]);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected short write",
-            ));
-        }
-        Some(FailAction::Error) | Some(FailAction::Again) => {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected write error",
-            ));
-        }
-        _ => {}
-    }
-    stream.write_all(bytes)
-}
-
-/// Drains whatever the client already sent (bounded) so closing sends a
-/// clean FIN instead of an RST that could destroy the in-flight error
-/// response.
-fn lingering_close(stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let mut sink = [0u8; 4096];
-    let deadline = Instant::now() + Duration::from_millis(500);
-    while Instant::now() < deadline {
-        match stream.read(&mut sink) {
-            Ok(n) if n > 0 => continue,
-            _ => break,
-        }
-    }
-}
-
-/// True when the peer has closed its end (a zero-byte peek).
-fn client_gone(stream: &TcpStream) -> bool {
-    let mut b = [0u8; 1];
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let gone = matches!(stream.peek(&mut b), Ok(0));
-    let _ = stream.set_nonblocking(false);
-    gone
-}
-
-fn serve_conn_blocking(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_nodelay(true);
-    let limits = shared.cfg.limits;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut last_data = Instant::now();
-    loop {
-        // Serve every fully buffered (possibly pipelined) request.
-        loop {
-            let parse_started = tmac_trace::now_ns();
-            match http::parse_request(&buf, &limits) {
-                Ok(Some((req, used))) => {
-                    tmac_trace::complete(
-                        "serve",
-                        "parse",
-                        0,
-                        used as u64,
-                        parse_started,
-                        tmac_trace::now_ns(),
-                    );
-                    buf.drain(..used);
-                    last_data = Instant::now();
-                    let keep = req.keep_alive() && !shared.is_draining();
-                    if !serve_one_blocking(&mut stream, shared, &req, keep) || !keep {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    let resp = protocol_error_response(&e);
-                    shared.metrics.count_status(resp.status);
-                    let _ = stream.write_all(&resp.encode(false));
-                    lingering_close(&mut stream);
-                    return;
-                }
-            }
-        }
-        if shared.is_stopped() {
-            return;
-        }
-        let mut tmp = [0u8; 4096];
-        // `serve/read` chaos: Error drops the connection, Again turns the
-        // read into a timeout tick, Short delivers a single byte.
-        let read = match failpoint::fire("serve/read") {
-            Some(FailAction::Error) => Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "injected read error",
-            )),
-            Some(FailAction::Again) => {
-                Err(io::Error::new(io::ErrorKind::WouldBlock, "injected eagain"))
-            }
-            Some(FailAction::Short) => stream.read(&mut tmp[..1]),
-            _ => stream.read(&mut tmp),
-        };
-        match read {
-            Ok(0) => return,
-            Ok(n) => {
-                buf.extend_from_slice(&tmp[..n]);
-                last_data = Instant::now();
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.is_draining() && buf.is_empty() {
-                    return; // idle keep-alive connection during drain
-                }
-                if last_data.elapsed() > shared.cfg.idle_conn_timeout {
-                    if !buf.is_empty() {
-                        let resp = Response::error(408, "timeout", "request incomplete");
-                        shared.metrics.count_status(408);
-                        let _ = stream.write_all(&resp.encode(false));
-                    }
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Serves one request; returns false when the connection must close.
-fn serve_one_blocking(stream: &mut TcpStream, shared: &Shared, req: &Request, keep: bool) -> bool {
-    match handle_request(shared, req, None) {
-        Outcome::Respond(resp) => {
-            shared.metrics.count_status(resp.status);
-            write_all_fp(stream, &resp.encode(keep)).is_ok() && keep
-        }
-        Outcome::Completion(pc) if pc.stream => {
-            shared.metrics.count_status(200);
-            if write_all_fp(stream, http::sse_head()).is_err() {
-                pc.cancel.store(true, Ordering::Release);
-                return false;
-            }
-            stream_events_blocking(stream, shared, &pc);
-            false // SSE responses are close-delimited
-        }
-        Outcome::Completion(pc) => {
-            let Some((tokens, reason, timing)) = wait_done_blocking(stream, &pc) else {
-                return false; // client vanished; sequence already cancelled
-            };
-            let resp = completion_response(shared, &pc, &tokens, &reason, &timing);
-            shared.metrics.count_status(resp.status);
-            write_all_fp(stream, &resp.encode(keep)).is_ok() && keep
-        }
-    }
-}
-
-/// Blocks until the sequence finishes, watching for client disconnect.
-/// `None` means the client went away (the sequence was cancelled and its
-/// terminal event consumed).
-fn wait_done_blocking(
-    stream: &TcpStream,
-    pc: &PendingCompletion,
-) -> Option<(Vec<u32>, EndReason, SeqTiming)> {
-    let mut abandoned = false;
-    loop {
-        match pc.rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(SeqEvent::Token(_)) => {}
-            Ok(SeqEvent::Done {
-                tokens,
-                reason,
-                timing,
-            }) => {
-                trace_request_done(pc, tokens.len());
-                return (!abandoned).then_some((tokens, reason, timing));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if !abandoned && client_gone(stream) {
-                    pc.cancel.store(true, Ordering::Release);
-                    abandoned = true; // keep waiting for Done so the slot is freed
-                }
-            }
-            // The step loop died beyond recovery (sink dropped): surface a
-            // terminal error instead of silently closing the connection.
-            Err(RecvTimeoutError::Disconnected) => {
-                return (!abandoned).then(|| {
-                    (
-                        Vec::new(),
-                        EndReason::Error("step loop exited".into()),
-                        SeqTiming::default(),
-                    )
-                });
-            }
-        }
-    }
-}
-
-fn stream_events_blocking(stream: &mut TcpStream, shared: &Shared, pc: &PendingCompletion) {
-    let mut sent = 0usize;
-    let mut abandoned = false;
-    loop {
-        match pc.rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(SeqEvent::Token(t)) => {
-                if abandoned {
-                    continue;
-                }
-                let _w = tmac_trace::span("serve", "sse_write", pc.id, t as u64);
-                if write_all_fp(stream, &stream_chunk(shared, pc, t)).is_err() {
-                    pc.cancel.store(true, Ordering::Release);
-                    abandoned = true;
-                } else {
-                    sent += 1;
-                }
-            }
-            Ok(SeqEvent::Done {
-                tokens,
-                reason,
-                timing,
-            }) => {
-                let _ = sent;
-                trace_request_done(pc, tokens.len());
-                if !abandoned {
-                    let tail = stream_tail(shared, pc, &tokens, &reason, &timing);
-                    let _ = write_all_fp(stream, &tail);
-                }
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if !abandoned && client_gone(stream) {
-                    pc.cancel.store(true, Ordering::Release);
-                    abandoned = true;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // Step loop gone: give the SSE client a terminal error
-                // frame so it can tell a fault from a finished stream.
-                if !abandoned {
-                    let tail = stream_tail(
-                        shared,
-                        pc,
-                        &[],
-                        &EndReason::Error("step loop exited".into()),
-                        &SeqTiming::default(),
-                    );
-                    let _ = write_all_fp(stream, &tail);
-                }
-                return;
-            }
-        }
+    #[cfg(target_os = "linux")]
+    {
+        let listener = TcpListener::bind(&cfg.addr)?;
+        let addr = listener.local_addr()?;
+        // The event loop polls a non-blocking listener. Failing here,
+        // before the step loop starts, hands the caller a real io::Error.
+        listener.set_nonblocking(true)?;
+        let poller = crate::poll::Poller::new()?;
+        let metrics = Arc::new(Metrics::new());
+        let (bridge, step_join) = bridge::start_with(
+            sched,
+            ctx,
+            Arc::clone(&metrics),
+            Duration::from_millis(10),
+            cfg.supervisor,
+        );
+        let shared = Arc::new(Shared {
+            cfg,
+            bridge,
+            metrics,
+            req_counter: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+        });
+        let s = Arc::clone(&shared);
+        let driver = std::thread::Builder::new()
+            .name("tmac-event-loop".into())
+            .spawn(move || crate::event_loop::run(listener, s, poller))
+            .expect("spawn event loop");
+        Ok(ServerHandle {
+            addr,
+            shared,
+            joins: vec![driver, step_join],
+        })
     }
 }

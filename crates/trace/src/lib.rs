@@ -61,10 +61,8 @@ pub const STEP_BOUNDS_S: &[f64] = &[
 /// unitless count).
 pub const OCCUPANCY_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
-/// A fixed-bucket histogram with atomic counters: lock-free `observe`,
-/// cumulative-`le` Prometheus rendering, and the sum/count/max aggregates
-/// the legacy `/metrics` lines are derived from (one implementation for
-/// both surfaces, so they cannot drift).
+/// A fixed-bucket histogram with atomic counters: lock-free `observe` and
+/// cumulative-`le` Prometheus rendering with `_sum`/`_count` aggregates.
 ///
 /// Values are recorded in micro-units internally (`v * 1e6`, saturating),
 /// which keeps sums exact enough for latencies while staying a single
@@ -76,7 +74,6 @@ pub struct Histogram {
     counts: Box<[AtomicU64]>,
     sum_micros: AtomicU64,
     count: AtomicU64,
-    max_micros: AtomicU64,
 }
 
 impl Histogram {
@@ -89,7 +86,6 @@ impl Histogram {
             counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum_micros: AtomicU64::new(0),
             count: AtomicU64::new(0),
-            max_micros: AtomicU64::new(0),
         }
     }
 
@@ -102,7 +98,6 @@ impl Histogram {
         let micros = (v * 1e6).round() as u64;
         self.sum_micros.fetch_add(micros, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
     }
 
     /// Observations recorded so far.
@@ -113,11 +108,6 @@ impl Histogram {
     /// Sum of all observed values.
     pub fn sum(&self) -> f64 {
         self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Largest observed value (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.max_micros.load(Ordering::Relaxed) as f64 / 1e6
     }
 
     /// The bucket bounds this histogram was built with.
@@ -531,7 +521,6 @@ mod tests {
         let cum = h.cumulative();
         assert_eq!(cum, vec![2, 4, 5, 6]); // le 0.001, 0.01, 0.1, +Inf
         assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), 5.0);
         assert!((h.sum() - 5.112_000_1).abs() < 1e-4, "sum {}", h.sum());
     }
 

@@ -19,7 +19,7 @@ use tmac::io::{IoError, LoadMode, Mapping, TmacContainer};
 use tmac::llm::{
     BackendKind, Model, ModelConfig, Scheduler, SchedulerConfig, SubmitRequest, WeightQuant,
 };
-use tmac::serve::{ConnMode, Json, Metrics, ServerConfig, ServerHandle, SupervisorOpts};
+use tmac::serve::{Json, Metrics, ServerConfig, ServerHandle, SupervisorOpts};
 
 /// Serializes tests in this binary and clears the registry on both entry
 /// and exit, so a panicking test cannot leak armed sites into the next.
@@ -50,7 +50,7 @@ fn tiny_model() -> Model {
     .unwrap()
 }
 
-fn start_server(mode: ConnMode, supervisor: SupervisorOpts) -> ServerHandle {
+fn start_server(supervisor: SupervisorOpts) -> ServerHandle {
     let sched = Scheduler::new(
         tiny_model(),
         SchedulerConfig {
@@ -63,7 +63,6 @@ fn start_server(mode: ConnMode, supervisor: SupervisorOpts) -> ServerHandle {
         sched,
         ExecCtx::new(1),
         ServerConfig {
-            mode,
             supervisor,
             ..ServerConfig::default()
         },
@@ -199,14 +198,6 @@ fn wait_quiesce(metrics: &Metrics) -> bool {
     false
 }
 
-fn both_modes() -> Vec<ConnMode> {
-    if cfg!(target_os = "linux") {
-        vec![ConnMode::Epoll, ConnMode::Threads]
-    } else {
-        vec![ConnMode::Threads]
-    }
-}
-
 #[test]
 fn forward_panic_mid_stream_quarantines_only_the_victim() {
     let _g = fp_lock();
@@ -223,58 +214,50 @@ fn forward_panic_mid_stream_quarantines_only_the_victim() {
     ];
     let expected: Vec<Vec<u32>> = cases.iter().map(|(p, n)| direct_tokens(p, *n)).collect();
 
-    for mode in both_modes() {
-        failpoint::clear();
-        let server = start_server(mode, SupervisorOpts::default());
-        let addr = server.addr();
-        let metrics = server.metrics();
-        failpoint::configure("scheduler/forward=panic:n6x2", SEED).unwrap();
+    failpoint::clear();
+    let server = start_server(SupervisorOpts::default());
+    let addr = server.addr();
+    let metrics = server.metrics();
+    failpoint::configure("scheduler/forward=panic:n6x2", SEED).unwrap();
 
-        let clients: Vec<_> = cases
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, (prompt, n))| {
-                std::thread::spawn(move || run_client(addr, &prompt, n, i % 2 == 0))
-            })
-            .collect();
-        let outcomes: Vec<ClientOutcome> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-        failpoint::clear();
+    let clients: Vec<_> = cases
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, (prompt, n))| {
+            std::thread::spawn(move || run_client(addr, &prompt, n, i % 2 == 0))
+        })
+        .collect();
+    let outcomes: Vec<ClientOutcome> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    failpoint::clear();
 
-        let victims = outcomes.iter().filter(|o| o.errored).count();
-        assert_eq!(
-            victims, 1,
-            "exactly one request must be quarantined ({mode:?})"
-        );
-        for (i, o) in outcomes.iter().enumerate() {
-            if !o.errored {
-                assert_eq!(
-                    o.tokens, expected[i],
-                    "survivor {i} must be bit-exact ({mode:?})"
-                );
-            }
+    let victims = outcomes.iter().filter(|o| o.errored).count();
+    assert_eq!(victims, 1, "exactly one request must be quarantined");
+    for (i, o) in outcomes.iter().enumerate() {
+        if !o.errored {
+            assert_eq!(o.tokens, expected[i], "survivor {i} must be bit-exact");
         }
-
-        // The fault must not leak capacity, skew the counters, or mark the
-        // server unhealthy.
-        assert!(wait_quiesce(&metrics), "gauges must drain ({mode:?})");
-        assert!(metrics.quarantined.get() >= 1, "{mode:?}");
-        assert_eq!(healthz(addr).0, 200, "{mode:?}");
-        let violations = metrics.consistency_violations();
-        assert!(violations.is_empty(), "{mode:?}: {violations:?}");
-        // With span recording compiled in, the quarantine leaves an
-        // instant event in the trace — panics are observable after the
-        // fact, not just counted.
-        #[cfg(feature = "trace")]
-        {
-            let dump = tmac::trace::chrome_trace_json();
-            assert!(
-                dump.contains("\"name\":\"quarantine\""),
-                "{mode:?}: no sched/quarantine instant in the trace dump"
-            );
-        }
-        server.shutdown();
     }
+
+    // The fault must not leak capacity, skew the counters, or mark the
+    // server unhealthy.
+    assert!(wait_quiesce(&metrics), "gauges must drain");
+    assert!(metrics.quarantined.get() >= 1);
+    assert_eq!(healthz(addr).0, 200);
+    let violations = metrics.consistency_violations();
+    assert!(violations.is_empty(), "{violations:?}");
+    // With span recording compiled in, the quarantine leaves an
+    // instant event in the trace — panics are observable after the
+    // fact, not just counted.
+    #[cfg(feature = "trace")]
+    {
+        let dump = tmac::trace::chrome_trace_json();
+        assert!(
+            dump.contains("\"name\":\"quarantine\""),
+            "no sched/quarantine instant in the trace dump"
+        );
+    }
+    server.shutdown();
 }
 
 #[test]
@@ -285,7 +268,7 @@ fn bridge_panic_restarts_the_loop_and_serving_recovers() {
     // The loop's second iteration panics once (nothing in flight yet);
     // the supervisor must restart it and serving must carry on.
     failpoint::configure("bridge/loop=panic:n2", SEED).unwrap();
-    let server = start_server(ConnMode::Threads, SupervisorOpts::default());
+    let server = start_server(SupervisorOpts::default());
     let addr = server.addr();
     let metrics = server.metrics();
 
@@ -312,14 +295,11 @@ fn supervisor_exhaustion_degrades_healthz_and_rejects_work() {
     // Every loop iteration panics: the supervisor burns its restart budget
     // and declares the bridge dead instead of spinning forever.
     failpoint::configure("bridge/loop=panic", SEED).unwrap();
-    let server = start_server(
-        ConnMode::Threads,
-        SupervisorOpts {
-            max_restarts: 2,
-            backoff: Duration::from_millis(1),
-            ..SupervisorOpts::default()
-        },
-    );
+    let server = start_server(SupervisorOpts {
+        max_restarts: 2,
+        backoff: Duration::from_millis(1),
+        ..SupervisorOpts::default()
+    });
     let addr = server.addr();
     let metrics = server.metrics();
 
@@ -353,7 +333,7 @@ fn kv_page_alloc_fault_errors_the_request_and_serving_recovers() {
     let _d = Disarm;
     let expected = direct_tokens(&[3, 1, 4], 6);
 
-    let server = start_server(ConnMode::Threads, SupervisorOpts::default());
+    let server = start_server(SupervisorOpts::default());
     let addr = server.addr();
     let metrics = server.metrics();
 

@@ -10,7 +10,7 @@ use tmac::llm::{
     BackendKind, Model, ModelConfig, SamplingParams, Scheduler, SchedulerConfig, SubmitRequest,
     WeightQuant,
 };
-use tmac::serve::{ConnMode, Json, ServerConfig, ServerHandle};
+use tmac::serve::{Json, ServerConfig, ServerHandle};
 
 const SEED: u64 = 42;
 
@@ -36,12 +36,7 @@ fn long_model() -> Model {
     .unwrap()
 }
 
-fn start_server_with(
-    model: Model,
-    max_batch: usize,
-    max_pending: usize,
-    mode: ConnMode,
-) -> ServerHandle {
+fn start_server_with(model: Model, max_batch: usize, max_pending: usize) -> ServerHandle {
     let sched = Scheduler::new(
         model,
         SchedulerConfig {
@@ -54,7 +49,6 @@ fn start_server_with(
         sched,
         ExecCtx::new(1),
         ServerConfig {
-            mode,
             idle_conn_timeout: Duration::from_millis(500),
             ..ServerConfig::default()
         },
@@ -62,8 +56,8 @@ fn start_server_with(
     .unwrap()
 }
 
-fn start_server(max_batch: usize, max_pending: usize, mode: ConnMode) -> ServerHandle {
-    start_server_with(tiny_model(), max_batch, max_pending, mode)
+fn start_server(max_batch: usize, max_pending: usize) -> ServerHandle {
+    start_server_with(tiny_model(), max_batch, max_pending)
 }
 
 /// Scheduler-direct reference output for one prompt.
@@ -187,14 +181,6 @@ fn stream_completion(addr: SocketAddr, prompt: &[u32], max_tokens: usize) -> (Ve
     (tokens, reason)
 }
 
-fn both_modes() -> Vec<ConnMode> {
-    if cfg!(target_os = "linux") {
-        vec![ConnMode::Epoll, ConnMode::Threads]
-    } else {
-        vec![ConnMode::Threads]
-    }
-}
-
 #[test]
 fn concurrent_mixed_clients_are_bit_exact_vs_direct() {
     // Six prompts, half streamed over SSE and half plain JSON, all in
@@ -210,92 +196,81 @@ fn concurrent_mixed_clients_are_bit_exact_vs_direct() {
     ];
     let expected: Vec<Vec<u32>> = cases.iter().map(|(p, n)| direct_tokens(p, *n)).collect();
 
-    for mode in both_modes() {
-        let server = start_server(2, 16, mode);
-        let addr = server.addr();
-        let handles: Vec<_> = cases
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, (prompt, max_new))| {
-                std::thread::spawn(move || {
-                    if i % 2 == 0 {
-                        stream_completion(addr, &prompt, max_new)
-                    } else {
-                        let (status, body) =
-                            post_completion(addr, &prompt_json(&prompt, max_new, false));
-                        assert_eq!(status, 200, "body: {body}");
-                        completion_tokens(&body)
-                    }
-                })
+    let server = start_server(2, 16);
+    let addr = server.addr();
+    let handles: Vec<_> = cases
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, (prompt, max_new))| {
+            std::thread::spawn(move || {
+                if i % 2 == 0 {
+                    stream_completion(addr, &prompt, max_new)
+                } else {
+                    let (status, body) =
+                        post_completion(addr, &prompt_json(&prompt, max_new, false));
+                    assert_eq!(status, 200, "body: {body}");
+                    completion_tokens(&body)
+                }
             })
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            let (tokens, reason) = h.join().unwrap();
-            assert_eq!(reason, "length", "mode {mode:?} case {i}");
-            assert_eq!(
-                tokens, expected[i],
-                "mode {mode:?} case {i} diverged from direct run"
-            );
-        }
-        let metrics = server.metrics();
-        assert_eq!(metrics.finished_length.get(), 6);
-        let total: usize = expected.iter().map(Vec::len).sum();
-        assert_eq!(metrics.tokens_out.get() as usize, total);
-        server.shutdown();
+        })
+        .collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        let (tokens, reason) = h.join().unwrap();
+        assert_eq!(reason, "length", "case {i}");
+        assert_eq!(tokens, expected[i], "case {i} diverged from direct run");
     }
+    let metrics = server.metrics();
+    assert_eq!(metrics.finished_length.get(), 6);
+    let total: usize = expected.iter().map(Vec::len).sum();
+    assert_eq!(metrics.tokens_out.get() as usize, total);
+    server.shutdown();
 }
 
 #[test]
 fn mid_stream_disconnect_frees_the_slot() {
-    for mode in both_modes() {
-        // One KV slot: if cancellation leaks it, the follow-up hangs.
-        let server = start_server_with(long_model(), 1, 16, mode);
-        let addr = server.addr();
+    // One KV slot: if cancellation leaks it, the follow-up hangs.
+    let server = start_server_with(long_model(), 1, 16);
+    let addr = server.addr();
 
-        let body = prompt_json(&[1, 2], 480, true);
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        stream
-            .write_all(
-                format!(
-                    "POST /v1/completions HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                )
-                .as_bytes(),
+    let body = prompt_json(&[1, 2], 480, true);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+        .write_all(
+            format!(
+                "POST /v1/completions HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
             )
-            .unwrap();
-        // Read a few bytes of the stream, then vanish mid-flight.
-        let mut tmp = [0u8; 256];
-        let n = stream.read(&mut tmp).unwrap();
-        assert!(n > 0);
-        drop(stream);
+            .as_bytes(),
+        )
+        .unwrap();
+    // Read a few bytes of the stream, then vanish mid-flight.
+    let mut tmp = [0u8; 256];
+    let n = stream.read(&mut tmp).unwrap();
+    assert!(n > 0);
+    drop(stream);
 
-        // The slot must come back: a fresh request completes normally.
-        let (status, resp) = post_completion(addr, &prompt_json(&[7, 8], 4, false));
-        assert_eq!(status, 200, "mode {mode:?}: {resp}");
-        let (tokens, reason) = completion_tokens(&resp);
-        assert_eq!(reason, "length");
-        assert_eq!(
-            tokens,
-            direct_tokens_on(long_model(), &[7, 8], 4),
-            "mode {mode:?}"
-        );
+    // The slot must come back: a fresh request completes normally.
+    let (status, resp) = post_completion(addr, &prompt_json(&[7, 8], 4, false));
+    assert_eq!(status, 200, "{resp}");
+    let (tokens, reason) = completion_tokens(&resp);
+    assert_eq!(reason, "length");
+    assert_eq!(tokens, direct_tokens_on(long_model(), &[7, 8], 4));
 
-        let metrics = server.metrics();
-        assert!(
-            metrics.finished_cancelled.get() >= 1,
-            "mode {mode:?}: disconnect did not cancel the sequence"
-        );
-        server.shutdown();
-    }
+    let metrics = server.metrics();
+    assert!(
+        metrics.finished_cancelled.get() >= 1,
+        "disconnect did not cancel the sequence"
+    );
+    server.shutdown();
 }
 
 #[test]
 fn deadline_exceeded_returns_typed_error() {
-    let server = start_server_with(long_model(), 1, 16, ConnMode::Auto);
+    let server = start_server_with(long_model(), 1, 16);
     let addr = server.addr();
     let (status, body) = post_completion(
         addr,
@@ -317,7 +292,7 @@ fn deadline_exceeded_returns_typed_error() {
 fn queue_full_sheds_with_429_and_retry_after() {
     // One slot and a one-deep queue: a burst must shed with 429s while
     // every accepted request still finishes correctly.
-    let server = start_server(1, 1, ConnMode::Auto);
+    let server = start_server(1, 1);
     let addr = server.addr();
     let handles: Vec<_> = (0..8u32)
         .map(|i| {
@@ -379,48 +354,101 @@ fn queue_full_sheds_with_429_and_retry_after() {
 
 #[test]
 fn graceful_drain_finishes_in_flight_and_refuses_new() {
-    for mode in both_modes() {
-        let server = start_server(1, 16, mode);
-        let addr = server.addr();
-        let worker =
-            std::thread::spawn(move || post_completion(addr, &prompt_json(&[3, 4], 30, false)));
-        // Give the request time to land, then drain.
-        std::thread::sleep(Duration::from_millis(50));
-        server.drain();
-        // New connections are refused (listener closed) or answered 503.
-        match TcpStream::connect(addr) {
-            Err(_) => {}
-            Ok(mut s) => {
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                let body = prompt_json(&[5], 2, false);
-                let _ = s.write_all(
-                    format!(
-                        "POST /v1/completions HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-                        body.len()
-                    )
-                    .as_bytes(),
-                );
-                let mut raw = Vec::new();
-                let _ = s.read_to_end(&mut raw);
-                if !raw.is_empty() {
-                    let (status, _, _) = parse_response(&raw);
-                    assert_eq!(status, 503, "mode {mode:?}");
-                }
+    let server = start_server(1, 16);
+    let addr = server.addr();
+    let worker =
+        std::thread::spawn(move || post_completion(addr, &prompt_json(&[3, 4], 30, false)));
+    // Give the request time to land, then drain.
+    std::thread::sleep(Duration::from_millis(50));
+    server.drain();
+    // New connections are refused (listener closed) or answered 503.
+    match TcpStream::connect(addr) {
+        Err(_) => {}
+        Ok(mut s) => {
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let body = prompt_json(&[5], 2, false);
+            let _ = s.write_all(
+                format!(
+                    "POST /v1/completions HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            );
+            let mut raw = Vec::new();
+            let _ = s.read_to_end(&mut raw);
+            if !raw.is_empty() {
+                let (status, _, _) = parse_response(&raw);
+                assert_eq!(status, 503);
             }
         }
-        // The in-flight request still completes with its full output.
-        let (status, body) = worker.join().unwrap();
-        assert_eq!(status, 200, "mode {mode:?}: {body}");
-        let (tokens, reason) = completion_tokens(&body);
-        assert_eq!(reason, "length");
-        assert_eq!(tokens.len(), 30);
-        server.join();
     }
+    // The in-flight request still completes with its full output.
+    let (status, body) = worker.join().unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (tokens, reason) = completion_tokens(&body);
+    assert_eq!(reason, "length");
+    assert_eq!(tokens.len(), 30);
+    server.join();
+}
+
+#[test]
+fn shutdown_closes_idle_keep_alive_connections_before_returning() {
+    // The default 10 s idle reaper: only the drain may close the socket.
+    let server = tmac::serve::start(
+        Scheduler::new(tiny_model(), SchedulerConfig::default()),
+        ExecCtx::new(1),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let metrics = server.metrics();
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let body = prompt_json(&[1, 2, 3], 4, false);
+    conn.write_all(
+        format!(
+            "POST /v1/completions HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    // Read exactly one keep-alive response, leaving the connection open.
+    let mut raw = Vec::new();
+    let mut tmp = [0u8; 4096];
+    loop {
+        let n = conn.read(&mut tmp).unwrap();
+        assert!(n > 0, "server closed a keep-alive connection");
+        raw.extend_from_slice(&tmp[..n]);
+        let text = String::from_utf8_lossy(&raw);
+        if let Some((head, body)) = text.split_once("\r\n\r\n") {
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .expect("Content-Length")
+                .parse()
+                .unwrap();
+            if body.len() >= len {
+                assert!(head.contains("Connection: keep-alive"), "{head}");
+                assert_eq!(completion_tokens(body).0, direct_tokens(&[1, 2, 3], 4));
+                break;
+            }
+        }
+    }
+    assert_eq!(metrics.connections.get(), 1);
+
+    let t0 = std::time::Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    assert_eq!(metrics.connections.get(), 0, "join left a connection open");
+    // The server side is gone: the idle client reads EOF.
+    assert_eq!(conn.read(&mut tmp).unwrap(), 0);
 }
 
 #[test]
 fn healthz_and_metrics_routes_work() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16);
     let addr = server.addr();
     let (status, _, body) = http_request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
@@ -435,7 +463,8 @@ fn healthz_and_metrics_routes_work() {
         "tmac_finished_total{reason=\"length\"} 1",
         "tmac_kv_slots_total 2",
         "tmac_tokens_per_second",
-        "tmac_ttft_ms_avg",
+        "tmac_ttft_seconds_count 1",
+        "tmac_e2e_latency_seconds_count 1",
     ] {
         assert!(text.contains(key), "missing {key:?} in:\n{text}");
     }
@@ -449,121 +478,119 @@ fn healthz_and_metrics_routes_work() {
 
 #[test]
 fn malformed_traffic_gets_clean_4xx_and_never_wedges() {
-    for mode in both_modes() {
-        let server = start_server(2, 16, mode);
-        let addr = server.addr();
+    let server = start_server(2, 16);
+    let addr = server.addr();
 
-        // Raw protocol garbage → 4xx/5xx status, connection closed cleanly.
-        let raw_cases: Vec<(Vec<u8>, u16)> = vec![
-            (b"GARBAGE\r\n\r\n".to_vec(), 400),
-            (b"GET / HTTP/2.0\r\n\r\n".to_vec(), 505),
-            (b"get / HTTP/1.1\r\n\r\n".to_vec(), 400),
-            (
-                b"POST / HTTP/1.1\r\nContent-Length: zap\r\n\r\n".to_vec(),
-                400,
-            ),
-            (
-                b"POST /v1/completions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
-                501,
-            ),
-            (
-                format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(64 * 1024)).into_bytes(),
-                431,
-            ),
-            (
-                format!(
-                    "POST /v1/completions HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                    64 * 1024 * 1024
-                )
-                .into_bytes(),
-                413,
-            ),
-        ];
-        for (raw, want) in &raw_cases {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-            s.write_all(raw).unwrap();
-            let mut resp = Vec::new();
-            s.read_to_end(&mut resp).unwrap();
-            let (status, _, _) = parse_response(&resp);
-            assert_eq!(
-                status,
-                *want,
-                "mode {mode:?} raw {:?}",
-                String::from_utf8_lossy(&raw[..raw.len().min(40)])
-            );
-        }
-
-        // A flood of unterminated header bytes must be rejected, not
-        // buffered forever.
-        {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-            let _ = s.write_all(&vec![b'x'; 32 * 1024]);
-            let mut resp = Vec::new();
-            s.read_to_end(&mut resp).unwrap();
-            let (status, _, _) = parse_response(&resp);
-            assert_eq!(status, 431, "mode {mode:?}");
-        }
-
-        // A truncated body (Content-Length promises more than is sent)
-        // times out with 408 instead of wedging the connection forever.
-        {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-            s.write_all(b"POST /v1/completions HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"pro")
-                .unwrap();
-            let mut resp = Vec::new();
-            s.read_to_end(&mut resp).unwrap();
-            let (status, _, _) = parse_response(&resp);
-            assert_eq!(status, 408, "mode {mode:?}");
-        }
-
-        // Well-formed HTTP carrying bad JSON / bad fields → typed 400s.
-        let body_cases = [
-            ("{not json", "invalid_json"),
-            ("[1,2,3]", "invalid_request"),
-            ("{}", "invalid_request"),
-            ("{\"prompt\":\"hi there\"}", "invalid_request"),
-            ("{\"prompt\":[1,2.5]}", "invalid_request"),
-            ("{\"prompt\":[1,99999]}", "invalid_request"),
-            ("{\"prompt\":[]}", "invalid_request"),
-            ("{\"prompt\":[1],\"max_tokens\":0}", "invalid_request"),
-            (
-                "{\"prompt\":[1],\"max_tokens\":5000}",
-                "context_length_exceeded",
-            ),
-            ("{\"prompt\":[1],\"stream\":\"yes\"}", "invalid_request"),
-            ("{\"prompt\":[1],\"deadline_ms\":-4}", "invalid_request"),
-        ];
-        for (body, kind) in body_cases {
-            let (status, resp) = post_completion(addr, body);
-            assert_eq!(status, 400, "mode {mode:?} body {body}: {resp}");
-            let doc = Json::parse(&resp).unwrap();
-            assert_eq!(
-                doc.get("error")
-                    .unwrap()
-                    .get("type")
-                    .unwrap()
-                    .as_str()
-                    .unwrap(),
-                kind,
-                "mode {mode:?} body {body}"
-            );
-        }
-
-        // After all that abuse the server still serves real work.
-        let (status, body) = post_completion(addr, &prompt_json(&[1, 2, 3], 4, false));
-        assert_eq!(status, 200, "mode {mode:?}: {body}");
-        let (tokens, _) = completion_tokens(&body);
-        assert_eq!(tokens, direct_tokens(&[1, 2, 3], 4), "mode {mode:?}");
-        server.shutdown();
+    // Raw protocol garbage → 4xx/5xx status, connection closed cleanly.
+    let raw_cases: Vec<(Vec<u8>, u16)> = vec![
+        (b"GARBAGE\r\n\r\n".to_vec(), 400),
+        (b"GET / HTTP/2.0\r\n\r\n".to_vec(), 505),
+        (b"get / HTTP/1.1\r\n\r\n".to_vec(), 400),
+        (
+            b"POST / HTTP/1.1\r\nContent-Length: zap\r\n\r\n".to_vec(),
+            400,
+        ),
+        (
+            b"POST /v1/completions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+            501,
+        ),
+        (
+            format!("GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(64 * 1024)).into_bytes(),
+            431,
+        ),
+        (
+            format!(
+                "POST /v1/completions HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                64 * 1024 * 1024
+            )
+            .into_bytes(),
+            413,
+        ),
+    ];
+    for (raw, want) in &raw_cases {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        s.write_all(raw).unwrap();
+        let mut resp = Vec::new();
+        s.read_to_end(&mut resp).unwrap();
+        let (status, _, _) = parse_response(&resp);
+        assert_eq!(
+            status,
+            *want,
+            "raw {:?}",
+            String::from_utf8_lossy(&raw[..raw.len().min(40)])
+        );
     }
+
+    // A flood of unterminated header bytes must be rejected, not
+    // buffered forever.
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let _ = s.write_all(&vec![b'x'; 32 * 1024]);
+        let mut resp = Vec::new();
+        s.read_to_end(&mut resp).unwrap();
+        let (status, _, _) = parse_response(&resp);
+        assert_eq!(status, 431);
+    }
+
+    // A truncated body (Content-Length promises more than is sent)
+    // times out with 408 instead of wedging the connection forever.
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        s.write_all(b"POST /v1/completions HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"pro")
+            .unwrap();
+        let mut resp = Vec::new();
+        s.read_to_end(&mut resp).unwrap();
+        let (status, _, _) = parse_response(&resp);
+        assert_eq!(status, 408);
+    }
+
+    // Well-formed HTTP carrying bad JSON / bad fields → typed 400s.
+    let body_cases = [
+        ("{not json", "invalid_json"),
+        ("[1,2,3]", "invalid_request"),
+        ("{}", "invalid_request"),
+        ("{\"prompt\":\"hi there\"}", "invalid_request"),
+        ("{\"prompt\":[1,2.5]}", "invalid_request"),
+        ("{\"prompt\":[1,99999]}", "invalid_request"),
+        ("{\"prompt\":[]}", "invalid_request"),
+        ("{\"prompt\":[1],\"max_tokens\":0}", "invalid_request"),
+        (
+            "{\"prompt\":[1],\"max_tokens\":5000}",
+            "context_length_exceeded",
+        ),
+        ("{\"prompt\":[1],\"stream\":\"yes\"}", "invalid_request"),
+        ("{\"prompt\":[1],\"deadline_ms\":-4}", "invalid_request"),
+    ];
+    for (body, kind) in body_cases {
+        let (status, resp) = post_completion(addr, body);
+        assert_eq!(status, 400, "body {body}: {resp}");
+        let doc = Json::parse(&resp).unwrap();
+        assert_eq!(
+            doc.get("error")
+                .unwrap()
+                .get("type")
+                .unwrap()
+                .as_str()
+                .unwrap(),
+            kind,
+            "body {body}"
+        );
+    }
+
+    // After all that abuse the server still serves real work.
+    let (status, body) = post_completion(addr, &prompt_json(&[1, 2, 3], 4, false));
+    assert_eq!(status, 200, "{body}");
+    let (tokens, _) = completion_tokens(&body);
+    assert_eq!(tokens, direct_tokens(&[1, 2, 3], 4));
+    server.shutdown();
 }
 
 #[test]
 fn bad_sampling_params_get_typed_400s() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16);
     let addr = server.addr();
     // Every sampling field rejects out-of-domain values with a typed 400
     // naming the field, never a panic or a silent default.
@@ -603,7 +630,7 @@ fn bad_sampling_params_get_typed_400s() {
 
 #[test]
 fn effective_sampling_params_are_echoed_in_responses() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16);
     let addr = server.addr();
 
     // Non-streaming: explicit fields come back verbatim, omitted ones as
@@ -651,7 +678,7 @@ fn effective_sampling_params_are_echoed_in_responses() {
 
 #[test]
 fn stop_sequences_finish_with_stop_reason_over_http() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16);
     let addr = server.addr();
     let prompt = [1u32, 2, 3];
     let full = direct_tokens(&prompt, 8);
@@ -686,7 +713,7 @@ fn stop_sequences_finish_with_stop_reason_over_http() {
 
 #[test]
 fn seeded_sampling_is_reproducible_and_matches_direct_over_http() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16);
     let addr = server.addr();
     let body =
         "{\"prompt\":[3,1,4],\"max_tokens\":6,\"temperature\":0.9,\"top_p\":0.95,\"seed\":5}";
@@ -733,46 +760,44 @@ fn metrics_stay_consistent_and_health_ok_after_mixed_traffic() {
     // counted got exactly one response counted, and every gauge is back to
     // zero. This is the same invariant the chaos harness asserts after a
     // fault storm — here it gates the happy path in the tier-1 suite.
-    for mode in both_modes() {
-        let server = start_server(2, 16, mode);
-        let addr = server.addr();
-        let metrics = server.metrics();
+    let server = start_server(2, 16);
+    let addr = server.addr();
+    let metrics = server.metrics();
 
-        let clients: Vec<_> = (0..6)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let prompt = vec![(i as u32) + 1, 7];
-                    if i % 2 == 0 {
-                        stream_completion(addr, &prompt, 4);
-                    } else {
-                        let (status, _) = post_completion(addr, &prompt_json(&prompt, 4, false));
-                        assert_eq!(status, 200);
-                    }
-                })
+    let clients: Vec<_> = (0..6)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let prompt = vec![(i as u32) + 1, 7];
+                if i % 2 == 0 {
+                    stream_completion(addr, &prompt, 4);
+                } else {
+                    let (status, _) = post_completion(addr, &prompt_json(&prompt, 4, false));
+                    assert_eq!(status, 200);
+                }
             })
-            .collect();
-        for c in clients {
-            c.join().unwrap();
-        }
-        let (status, _, _) = http_request(addr, "GET", "/no/such/path", "");
-        assert_eq!(status, 404);
-        let (status, _, body) = http_request(addr, "GET", "/healthz", "");
-        assert_eq!(status, 200, "{body}");
-
-        // Quiesce: all client sockets above are closed (Connection: close)
-        // and the step loop refreshes the scheduler gauges on its next
-        // tick, so poll until every gauge reads zero.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while std::time::Instant::now() < deadline
-            && (metrics.connections.get() > 0
-                || metrics.active_seqs.get() > 0
-                || metrics.queue_depth.get() > 0
-                || metrics.kv_slots_used.get() > 0)
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let violations = metrics.consistency_violations();
-        assert!(violations.is_empty(), "{mode:?}: {violations:?}");
-        server.shutdown();
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
     }
+    let (status, _, _) = http_request(addr, "GET", "/no/such/path", "");
+    assert_eq!(status, 404);
+    let (status, _, body) = http_request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+
+    // Quiesce: all client sockets above are closed (Connection: close)
+    // and the step loop refreshes the scheduler gauges on its next
+    // tick, so poll until every gauge reads zero.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while std::time::Instant::now() < deadline
+        && (metrics.connections.get() > 0
+            || metrics.active_seqs.get() > 0
+            || metrics.queue_depth.get() > 0
+            || metrics.kv_slots_used.get() > 0)
+    {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let violations = metrics.consistency_violations();
+    assert!(violations.is_empty(), "{violations:?}");
+    server.shutdown();
 }

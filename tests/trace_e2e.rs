@@ -1,6 +1,6 @@
 //! End-to-end observability tests: per-request `timings` breakdowns, the
 //! `/debug/trace` Chrome-trace endpoint, and the `/metrics` latency
-//! histograms, exercised over real TCP against both connection drivers.
+//! histograms, exercised over real TCP against the epoll event loop.
 //!
 //! Span *contents* (scheduler steps, request lifecycles, per-layer
 //! attention, mpGEMM panels) are only recorded under `--features trace`;
@@ -12,7 +12,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use tmac::core::ExecCtx;
 use tmac::llm::{BackendKind, Model, ModelConfig, Scheduler, SchedulerConfig, WeightQuant};
-use tmac::serve::{ConnMode, Json, ServerConfig, ServerHandle};
+use tmac::serve::{Json, ServerConfig, ServerHandle};
 
 fn tiny_model() -> Model {
     Model::synthetic(
@@ -36,7 +36,7 @@ fn long_model() -> Model {
     .unwrap()
 }
 
-fn start_server_with(model: Model, mode: ConnMode) -> ServerHandle {
+fn start_server_with(model: Model) -> ServerHandle {
     let sched = Scheduler::new(
         model,
         SchedulerConfig {
@@ -49,7 +49,6 @@ fn start_server_with(model: Model, mode: ConnMode) -> ServerHandle {
         sched,
         ExecCtx::new(1),
         ServerConfig {
-            mode,
             idle_conn_timeout: Duration::from_millis(500),
             ..ServerConfig::default()
         },
@@ -107,60 +106,47 @@ fn timings_of(doc: &Json) -> (f64, f64, f64, f64, u64) {
     )
 }
 
-fn both_modes() -> Vec<ConnMode> {
-    if cfg!(target_os = "linux") {
-        vec![ConnMode::Epoll, ConnMode::Threads]
-    } else {
-        vec![ConnMode::Threads]
-    }
-}
-
 #[test]
-fn timings_ride_responses_in_both_drivers() {
-    for mode in both_modes() {
-        let server = start_server_with(tiny_model(), mode);
-        let addr = server.addr();
+fn timings_ride_responses() {
+    let server = start_server_with(tiny_model());
+    let addr = server.addr();
 
-        // Non-streaming: the 200 body carries the breakdown.
-        let (status, _, body) = http_request(
-            addr,
-            "POST",
-            "/v1/completions",
-            &prompt_json(&[1, 2, 3], 8, false),
-        );
-        assert_eq!(status, 200, "mode {mode:?}: {body}");
-        let doc = Json::parse(&body).unwrap();
-        let (queue_ms, prefill_ms, decode_ms, tok_s, _) = timings_of(&doc);
-        assert!(queue_ms >= 0.0, "mode {mode:?}: queue {queue_ms}");
-        assert!(prefill_ms >= 0.0, "mode {mode:?}: prefill {prefill_ms}");
-        // Eight decode steps on a real model take measurable time, and the
-        // throughput figure must be finite and positive.
-        assert!(decode_ms > 0.0, "mode {mode:?}: decode {decode_ms}");
-        assert!(
-            tok_s > 0.0 && tok_s.is_finite(),
-            "mode {mode:?}: tokens_per_s {tok_s}"
-        );
+    // Non-streaming: the 200 body carries the breakdown.
+    let (status, _, body) = http_request(
+        addr,
+        "POST",
+        "/v1/completions",
+        &prompt_json(&[1, 2, 3], 8, false),
+    );
+    assert_eq!(status, 200, "{body}");
+    let doc = Json::parse(&body).unwrap();
+    let (queue_ms, prefill_ms, decode_ms, tok_s, _) = timings_of(&doc);
+    assert!(queue_ms >= 0.0, "queue {queue_ms}");
+    assert!(prefill_ms >= 0.0, "prefill {prefill_ms}");
+    // Eight decode steps on a real model take measurable time, and the
+    // throughput figure must be finite and positive.
+    assert!(decode_ms > 0.0, "decode {decode_ms}");
+    assert!(tok_s > 0.0 && tok_s.is_finite(), "tokens_per_s {tok_s}");
 
-        // Streaming: the final frame (the one with finish_reason) carries
-        // the same breakdown.
-        let (status, _, text) = http_request(
-            addr,
-            "POST",
-            "/v1/completions",
-            &prompt_json(&[4, 5], 6, true),
-        );
-        assert_eq!(status, 200, "mode {mode:?}");
-        let tail = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("data: "))
-            .rfind(|p| *p != "[DONE]")
-            .expect("final SSE frame");
-        let doc = Json::parse(tail).unwrap();
-        let (_, _, decode_ms, tok_s, _) = timings_of(&doc);
-        assert!(decode_ms > 0.0, "mode {mode:?} (SSE): decode {decode_ms}");
-        assert!(tok_s > 0.0, "mode {mode:?} (SSE): tokens_per_s {tok_s}");
-        server.shutdown();
-    }
+    // Streaming: the final frame (the one with finish_reason) carries
+    // the same breakdown.
+    let (status, _, text) = http_request(
+        addr,
+        "POST",
+        "/v1/completions",
+        &prompt_json(&[4, 5], 6, true),
+    );
+    assert_eq!(status, 200);
+    let tail = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("data: "))
+        .rfind(|p| *p != "[DONE]")
+        .expect("final SSE frame");
+    let doc = Json::parse(tail).unwrap();
+    let (_, _, decode_ms, tok_s, _) = timings_of(&doc);
+    assert!(decode_ms > 0.0, "SSE: decode {decode_ms}");
+    assert!(tok_s > 0.0, "SSE: tokens_per_s {tok_s}");
+    server.shutdown();
 }
 
 #[test]
@@ -174,7 +160,7 @@ fn timings_report_prefix_hits_consistently_with_gauges() {
     let mut b = prefix;
     b.extend_from_slice(&[3, 4]);
 
-    let server = start_server_with(long_model(), ConnMode::Auto);
+    let server = start_server_with(long_model());
     let addr = server.addr();
     let (status, _, body) =
         http_request(addr, "POST", "/v1/completions", &prompt_json(&a, 2, false));
@@ -207,58 +193,55 @@ fn timings_report_prefix_hits_consistently_with_gauges() {
 }
 
 #[test]
-fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
-    for mode in both_modes() {
-        let server = start_server_with(tiny_model(), mode);
-        let addr = server.addr();
-        // Generate some work first so (feature-on) the rings hold spans.
-        let (status, _, body) = http_request(
-            addr,
-            "POST",
-            "/v1/completions",
-            &prompt_json(&[1, 2, 3], 6, false),
-        );
-        assert_eq!(status, 200, "mode {mode:?}: {body}");
+fn debug_trace_serves_chrome_trace_json() {
+    let server = start_server_with(tiny_model());
+    let addr = server.addr();
+    // Generate some work first so (feature-on) the rings hold spans.
+    let (status, _, body) = http_request(
+        addr,
+        "POST",
+        "/v1/completions",
+        &prompt_json(&[1, 2, 3], 6, false),
+    );
+    assert_eq!(status, 200, "{body}");
 
-        let (status, head, body) = http_request(addr, "GET", "/debug/trace", "");
-        assert_eq!(status, 200, "mode {mode:?}");
-        assert!(head.contains("application/json"), "mode {mode:?}: {head}");
-        // Valid JSON in Chrome Trace Event Format shape.
-        let doc = Json::parse(&body)
-            .unwrap_or_else(|e| panic!("mode {mode:?}: trace is not valid JSON: {e}"));
+    let (status, head, body) = http_request(addr, "GET", "/debug/trace", "");
+    assert_eq!(status, 200);
+    assert!(head.contains("application/json"), "{head}");
+    // Valid JSON in Chrome Trace Event Format shape.
+    let doc = Json::parse(&body).unwrap_or_else(|e| panic!("trace is not valid JSON: {e}"));
+    assert!(
+        doc.get("traceEvents").and_then(|v| v.as_arr()).is_some(),
+        "missing traceEvents array"
+    );
+
+    // With recording compiled in, the dump must hold the span taxonomy
+    // the issue promises: scheduler steps, the request lifecycle, and
+    // the model layers under it down to mpGEMM panels.
+    #[cfg(feature = "trace")]
+    for (cat, name) in [
+        ("sched", "step"),
+        ("sched", "queue_wait"),
+        ("serve", "request"),
+        ("llm", "prefill_chunk"),
+        ("llm", "attention"),
+        ("gemm", "panel"),
+    ] {
         assert!(
-            doc.get("traceEvents").and_then(|v| v.as_arr()).is_some(),
-            "mode {mode:?}: missing traceEvents array"
+            body.contains(&format!("\"name\":\"{name}\"")),
+            "no {cat}/{name} span in trace dump"
         );
-
-        // With recording compiled in, the dump must hold the span taxonomy
-        // the issue promises: scheduler steps, the request lifecycle, and
-        // the model layers under it down to mpGEMM panels.
-        #[cfg(feature = "trace")]
-        for (cat, name) in [
-            ("sched", "step"),
-            ("sched", "queue_wait"),
-            ("serve", "request"),
-            ("llm", "prefill_chunk"),
-            ("llm", "attention"),
-            ("gemm", "panel"),
-        ] {
-            assert!(
-                body.contains(&format!("\"name\":\"{name}\"")),
-                "mode {mode:?}: no {cat}/{name} span in trace dump"
-            );
-        }
-        // The GET / HTTP wrong-method contract holds for the new route too.
-        let (status, head, _) = http_request(addr, "POST", "/debug/trace", "");
-        assert_eq!(status, 405, "mode {mode:?}");
-        assert!(head.contains("Allow: GET"), "mode {mode:?}: {head}");
-        server.shutdown();
     }
+    // The GET / HTTP wrong-method contract holds for the new route too.
+    let (status, head, _) = http_request(addr, "POST", "/debug/trace", "");
+    assert_eq!(status, 405);
+    assert!(head.contains("Allow: GET"), "{head}");
+    server.shutdown();
 }
 
 #[test]
 fn metrics_expose_latency_histograms() {
-    let server = start_server_with(tiny_model(), ConnMode::Auto);
+    let server = start_server_with(tiny_model());
     let addr = server.addr();
     // One streaming completion touches every histogram: TTFT and e2e on
     // the request path, queue wait at admission, step duration and batch
